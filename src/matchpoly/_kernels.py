@@ -5,6 +5,13 @@ Bit layout matches :mod:`matchpoly.bitgraph`: masks are integers whose bit
 of the dense tables below.  The tables for n <= 4 are tiny and cached; n = 5
 work (33.5M masks) is chunked so the resident set stays a few hundred MiB.
 
+One row-profile DP underlies both the perfect-matching truth table and the
+matching-covered filter.  Its level tables give, for the first k rows of a
+mask, every column set those rows can be matched onto; read forwards for a
+prefix of rows and backwards (complemented) for a suffix, they decide every
+edge of a row at once, so the MC filter needs no deletion of rows or columns
+and no lookup in a full truth table.
+
 Thread counts come from the caller (CLI ``--threads`` or MATCHPOLY_THREADS);
 chunks are assembled in index order, so results never depend on scheduling.
 """
@@ -47,16 +54,11 @@ def map_chunks(fn: Callable[[int, int], object], total: int,
 
 
 def popcount_array(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(arr.shape, dtype=np.int64)
-    a = arr.astype(np.int64, copy=True)
-    while a.any():
-        out += a & 1
-        a >>= 1
-    return out
+    return np.bitwise_count(arr).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
-# Perfect-matching truth table
+# Row-profile DP and the perfect-matching truth table
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -77,22 +79,21 @@ def _column_transition_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def truth_table(n: int) -> np.ndarray:
-    """uint8 array of length 2^(n^2): 1 iff the mask's graph has a perfect
-    matching.
+def row_profile_levels(n: int) -> tuple[np.ndarray, ...]:
+    """Level tables L_0 .. L_{n-1} of the row-profile DP.
 
-    Row-profile DP: after processing left vertices 1..k the state is the set
-    of right-vertex subsets they can be matched onto, a 2^n-bit set that fits
-    a uint32 for n <= 5.  The last row is specialized to the single full-set
-    bit, which keeps the big level cheap.
+    L_k[p] is the set of right-vertex subsets that left vertices 1..k can be
+    matched onto, as a 2^n-bit word (bit S for subset S), indexed by the low
+    k*n bits p of a mask.  The words fit a uint32 for n <= 5, where the
+    levels total 4.1 MiB.
     """
     if n > 5:
         raise ValueError("dense truth tables stop at n=5")
     size = 1 << n
-    full = size - 1
     trans = _column_transition_table(n)
-    level = np.array([1], dtype=np.uint32)  # only the empty set reachable
+    levels = [np.array([1], dtype=np.uint32)]  # only the empty set reachable
     for _ in range(n - 1):
+        level = levels[-1]
         width = level.shape[0]
         nxt = np.zeros(size * width, dtype=np.uint32)
         rows = nxt.reshape(size, width)
@@ -102,7 +103,22 @@ def truth_table(n: int) -> np.ndarray:
             for r in range(size):
                 if tr[r]:
                     rows[r][sel] |= tr[r]
-        level = nxt
+        nxt.flags.writeable = False
+        levels.append(nxt)
+    return tuple(levels)
+
+
+@lru_cache(maxsize=None)
+def truth_table(n: int) -> np.ndarray:
+    """uint8 array of length 2^(n^2): 1 iff the mask's graph has a perfect
+    matching.
+
+    The last row of the row-profile DP, specialized to the single full-set
+    bit, which keeps the big level cheap.
+    """
+    size = 1 << n
+    full = size - 1
+    level = row_profile_levels(n)[-1]
     width = level.shape[0]
     out = np.zeros(size * width, dtype=np.uint8)
     rows = out.reshape(size, width)
@@ -119,57 +135,85 @@ def truth_table(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Row/column deletion on vectors of masks
-# ---------------------------------------------------------------------------
-
-def remove_row(masks: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Drop 0-based row ``i`` from masks of n rows of n bits."""
-    low = masks & ((1 << (n * i)) - 1)
-    high = (masks >> (n * (i + 1))) << (n * i)
-    return low | high
-
-
-def remove_col(masks: np.ndarray, n_rows: int, n_cols: int, j: int) -> np.ndarray:
-    """Drop 0-based column ``j`` from masks of n_rows rows of n_cols bits."""
-    out = np.zeros_like(masks)
-    rowfull = (1 << n_cols) - 1
-    low = (1 << j) - 1
-    keep_high = ((1 << (n_cols - 1)) - 1) & ~low
-    for r in range(n_rows):
-        row = (masks >> (n_cols * r)) & rowfull
-        out |= ((row & low) | ((row >> 1) & keep_high)) << ((n_cols - 1) * r)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Matching-covered membership
 # ---------------------------------------------------------------------------
 
-def mc_flags_for_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """Boolean MC membership for an arbitrary vector of masks.
+@lru_cache(maxsize=None)
+def _without_column(n: int) -> tuple[np.uint32, ...]:
+    """Word c has bit S set iff column c is not in subset S."""
+    size = 1 << n
+    return tuple(np.uint32(sum(1 << s for s in range(size) if not (s >> c) & 1))
+                 for c in range(n))
 
-    MC == nonempty, has a perfect matching, and every present edge is
-    allowed; the allowed test for edge (i, j) is a perfect matching of the
-    graph with row i and column j deleted, read off the (n-1)-table.
+
+@lru_cache(maxsize=None)
+def _suffix_levels(n: int) -> tuple[np.ndarray, ...]:
+    """The row-profile levels with every set complemented: bit S of L_k
+    becomes bit full^S.
+
+    The column sets a block of rows can be matched onto depend only on the
+    rows' neighbourhoods, so the rows after 0-based row i are matched onto
+    the sets in L_{n-1-i}[mask >> n*(i+1)]; complementing them turns the
+    edge test into a single AND.
     """
-    masks = np.asarray(masks, dtype=np.int32 if n * n <= 31 else np.int64)
-    flags = truth_table(n)[masks].astype(bool)
-    if n > 1:
-        small = truth_table(n - 1)
-        for i in range(n):
-            rowless = remove_row(masks, n, i)
-            for j in range(n):
-                reduced = remove_col(rowless, n - 1, n, j)
-                present = ((masks >> (n * i + j)) & 1).astype(bool)
-                flags &= ~present | small[reduced].astype(bool)
-    flags &= masks != 0
-    return flags
+    without = _without_column(n)
+    out = []
+    for level in row_profile_levels(n):
+        word = level
+        for c in range(n):  # S -> S ^ {c}, one butterfly per column
+            step = np.uint32(1 << c)
+            word = ((word & without[c]) << step) | ((word >> step) & without[c])
+        word.flags.writeable = False
+        out.append(word)
+    return tuple(out)
+
+
+def _row_allowed(n: int, i: int, masks: np.ndarray) -> np.ndarray:
+    """True where every present edge in 0-based row i is allowed.
+
+    Edge (i, j) is allowed iff some column set S that rows before i can be
+    matched onto avoids j and the rows after i can be matched onto the rest,
+    i.e. iff bit S|{j} of the complemented suffix word is set.  An absent
+    edge sets bit 0, which no shifted prefix bit reaches.
+    """
+    prefix = row_profile_levels(n)[i][masks & np.uint32((1 << (n * i)) - 1)]
+    suffix = _suffix_levels(n)[n - 1 - i][masks >> np.uint32(n * (i + 1))]
+    absent = ~masks >> np.uint32(n * i)
+    ok = np.ones(masks.shape, dtype=bool)
+    for j, without in enumerate(_without_column(n)):
+        reach = (prefix & without) << np.uint32(1 << j)
+        reach &= suffix
+        reach |= (absent >> np.uint32(j)) & np.uint32(1)
+        ok &= reach != 0
+    return ok
+
+
+def mc_flags_for_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """Boolean MC membership for an arbitrary vector of masks, n <= 5.
+
+    MC == nonempty and every present edge is allowed (lies on a perfect
+    matching).  Edges are decided row by row from the prefix and suffix
+    row-profile tables.  The last row goes first: a nonempty last row whose
+    edges are all allowed already certifies a perfect matching, so only its
+    survivors are compressed and tested on the other rows.
+    """
+    masks = np.asarray(masks).astype(np.uint32, copy=False)
+    last = n - 1
+    flags = (masks >> np.uint32(n * last)) != 0
+    flags &= _row_allowed(n, last, masks)
+    idx = np.flatnonzero(flags)
+    live = masks[idx]
+    for i in range(last):
+        keep = _row_allowed(n, i, live)
+        idx, live = idx[keep], live[keep]
+    out = np.zeros(masks.shape, dtype=bool)
+    out[idx] = True
+    return out
 
 
 def mc_flags_for_range(n: int, lo: int, hi: int) -> np.ndarray:
     """Boolean MC membership for the contiguous mask range [lo, hi)."""
-    dtype = np.int32 if n * n <= 31 else np.int64
-    return mc_flags_for_masks(n, np.arange(lo, hi, dtype=dtype))
+    return mc_flags_for_masks(n, np.arange(lo, hi, dtype=np.uint32))
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +352,13 @@ def superset_sum_transform(values: np.ndarray, nvars: int) -> None:
 
 def check_transform_headroom(values: np.ndarray) -> None:
     """Guard against int64 overflow: every intermediate of the transforms is
-    a +/-1 combination of distinct inputs, so the l1 norm bounds everything."""
-    l1 = int(np.abs(values.astype(np.int64, copy=False)).sum())
+    a +/-1 combination of distinct inputs, so the l1 norm bounds everything.
+
+    The norm is summed in fixed slices, so no full-size temporary is made."""
+    flat = values.reshape(-1)
+    step = 1 << 20
+    l1 = sum(int(np.abs(flat[lo:lo + step].astype(np.int64, copy=False)).sum())
+             for lo in range(0, flat.size, step))
     if l1 >= 1 << 62:
         raise OverflowError("transform values exceed the int64 fast path")
 

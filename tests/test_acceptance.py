@@ -39,6 +39,7 @@ def criterion(number: int, title: str):
 
 
 def _clear_caches():
+    _kernels.row_profile_levels.cache_clear()
     _kernels.truth_table.cache_clear()
     _kernels.mc_table.cache_clear()
     _kernels.mc_masks.cache_clear()

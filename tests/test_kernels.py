@@ -1,0 +1,121 @@
+"""Vector kernels against the scalar oracles of bitgraph and matchcov.
+
+The MC filter decides every edge from prefix/suffix row-profile tables; the
+scalar oracles decide each edge by deleting its two endpoints and running a
+fresh matching DP, so agreement here is not circular.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matchpoly import BipartiteGraph, _kernels, count_mc, is_matching_covered
+from matchpoly.bitgraph import allowed_edges, has_perfect_matching, has_pm_mask
+
+# n = 5 examples build the row-profile tables on first use; keep runs repeatable
+PROPERTY = settings(deadline=None, derandomize=True)
+
+
+def oracle_mc(n: int, mask: int) -> bool:
+    g = BipartiteGraph(n, mask)
+    return mask != 0 and has_perfect_matching(g) and allowed_edges(g) == mask
+
+
+def perm_mask(n: int, perm) -> int:
+    return sum(1 << (n * i + j) for i, j in enumerate(perm))
+
+
+@st.composite
+def n5_masks(draw):
+    """Uniform masks (mostly not MC) or unions of perfect matchings (always
+    MC) with a few edges toggled, which lands near the MC boundary."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, (1 << 25) - 1))
+    perms = draw(st.lists(st.permutations(range(5)), min_size=1, max_size=4))
+    mask = 0
+    for perm in perms:
+        mask |= perm_mask(5, perm)
+    for bit in draw(st.lists(st.integers(0, 24), max_size=2)):
+        mask ^= 1 << bit
+    return mask
+
+
+class TestMcFilter:
+    @given(st.lists(n5_masks(), min_size=1, max_size=40))
+    @settings(PROPERTY, max_examples=60)
+    def test_n5_masks_match_scalar_oracle(self, masks):
+        flags = _kernels.mc_flags_for_masks(5, np.array(masks, dtype=np.int64))
+        assert flags.dtype == bool
+        assert flags.tolist() == [oracle_mc(5, m) for m in masks]
+
+    @given(st.data())
+    @settings(PROPERTY, max_examples=60)
+    def test_range_with_offset_matches_scalar_oracle(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        total = 1 << (n * n)
+        lo = data.draw(st.integers(1, total - 1), label="lo")
+        hi = data.draw(st.integers(lo, min(total, lo + 300)), label="hi")
+        flags = _kernels.mc_flags_for_range(n, lo, hi)
+        assert flags.tolist() == [oracle_mc(n, m) for m in range(lo, hi)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_small_n_matches_matchcov(self, n):
+        flags = _kernels.mc_flags_for_range(n, 0, 1 << (n * n))
+        assert not flags[0]
+        expected = [is_matching_covered(BipartiteGraph(n, m)) for m in range(1, 1 << (n * n))]
+        assert flags[1:].tolist() == expected
+
+
+class TestExhaustiveN5:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_count_mc(self, threads):
+        assert count_mc(5, threads=threads) == 6_092_721
+
+    def test_stream_independent_of_threads(self):
+        one = np.concatenate(list(_kernels.stream_mc_masks(5, threads=1)))
+        two = np.concatenate(list(_kernels.stream_mc_masks(5, threads=2)))
+        assert len(one) == 6_092_721
+        assert np.array_equal(one, two)
+        assert np.all(np.diff(one) > 0)
+
+
+class TestRowProfile:
+    @given(st.lists(st.integers(0, (1 << 25) - 1), min_size=1, max_size=200))
+    @PROPERTY
+    def test_truth_table_matches_has_pm_mask(self, masks):
+        table = _kernels.truth_table(5)
+        assert [bool(table[m]) for m in masks] == [has_pm_mask(5, m) for m in masks]
+
+    @given(st.integers(0, (1 << 15) - 1))
+    @PROPERTY
+    def test_levels_list_matchable_column_sets(self, prefix):
+        # rows 1..3 of an n = 5 mask; bit S iff they match onto exactly S
+        rows = [(prefix >> (5 * i)) & 31 for i in range(3)]
+        word = int(_kernels.row_profile_levels(5)[3][prefix])
+        for s in range(32):
+            expected = any(all((rows[i] >> cols[i]) & 1 for i in range(3))
+                           for cols in itertools.permutations(range(5), 3)
+                           if sum(1 << c for c in cols) == s)
+            assert bool((word >> s) & 1) == expected, (hex(prefix), s)
+
+
+class TestSmallKernels:
+    @given(st.lists(st.integers(0, (1 << 62) - 1), max_size=50))
+    @PROPERTY
+    def test_popcount_array(self, values):
+        arr = np.array(values, dtype=np.int64)
+        out = _kernels.popcount_array(arr)
+        assert out.dtype == np.int64
+        assert out.tolist() == [v.bit_count() for v in values]
+
+    def test_headroom_sums_across_slices(self):
+        values = np.zeros(3 << 20, dtype=np.int64)
+        values[0] = 1 << 61
+        values[-1] = -(1 << 61) + 1
+        _kernels.check_transform_headroom(values)
+        values[-1] -= 1
+        with pytest.raises(OverflowError):
+            _kernels.check_transform_headroom(values)

@@ -25,7 +25,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-CHUNK_BITS = 22  # 4M masks per chunk: the sweet spot between calls and cache
+# 1M masks per chunk: no slower than 4M, and the filter and chi temporaries
+# each pool thread holds stay small enough to keep n = 5 peak RSS down
+CHUNK_BITS = 20
 
 
 def default_threads() -> int:
@@ -51,6 +53,18 @@ def map_chunks(fn: Callable[[int, int], object], total: int,
         return [fn(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=t) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
+
+
+def _stream_chunks(fn: Callable[[int, int], object], total: int,
+                   threads: int | None) -> Iterator:
+    """Yield ``fn(lo, hi)`` over [0, total) chunk by chunk, in order: lazily
+    on one thread, as an ordered :func:`map_chunks` pool map otherwise."""
+    t = threads if threads is not None else default_threads()
+    if t <= 1:
+        for lo, hi in _chunk_ranges(total, 1 << CHUNK_BITS):
+            yield fn(lo, hi)
+    else:
+        yield from map_chunks(fn, total, threads=t)
 
 
 def popcount_array(arr: np.ndarray) -> np.ndarray:
@@ -234,28 +248,13 @@ def mc_masks(n: int) -> np.ndarray:
     return out
 
 
+def _mc_chunk(n: int, lo: int, hi: int) -> np.ndarray:
+    return np.flatnonzero(mc_flags_for_range(n, lo, hi)) + lo
+
+
 def stream_mc_masks(n: int, threads: int | None = None) -> Iterator[np.ndarray]:
-    """Yield sorted int64 arrays of MC_n masks, chunk by chunk.
-
-    n <= 4 serves straight from the cached table; n = 5 runs the chunked
-    filter, lazily when single-threaded and as an ordered parallel map
-    otherwise.
-    """
-    if n <= 4:
-        yield mc_masks(n)
-        return
-    total = 1 << (n * n)
-
-    def work(lo: int, hi: int) -> np.ndarray:
-        flags = mc_flags_for_range(n, lo, hi)
-        return np.nonzero(flags)[0].astype(np.int64) + lo
-
-    t = threads if threads is not None else default_threads()
-    if t <= 1:
-        for lo, hi in _chunk_ranges(total, 1 << CHUNK_BITS):
-            yield work(lo, hi)
-    else:
-        yield from map_chunks(work, total, threads=t)
+    """Yield sorted int64 arrays of MC_n masks, chunk by chunk."""
+    return _stream_chunks(lambda lo, hi: _mc_chunk(n, lo, hi), 1 << (n * n), threads)
 
 
 def count_mc_masks(n: int, threads: int | None = None) -> int:
@@ -270,37 +269,64 @@ def count_mc_masks(n: int, threads: int | None = None) -> int:
 # Component counts / cyclomatic numbers on vectors of masks
 # ---------------------------------------------------------------------------
 
-def component_counts(n: int, masks: np.ndarray) -> np.ndarray:
-    """|C(G)| for each mask, counting all 2n vertices.
+@lru_cache(maxsize=None)
+def _component_automaton(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row automaton of the component count: (T, F).
 
-    Left rows are merged to their component's right-neighbour closure by
-    repeated pairwise union sweeps (n sweeps suffice: each sweep halves the
-    number of separate pieces along any merge chain).
+    A state is a partition, into blocks, of the columns the rows read so far
+    touch; the Bell(n+1) states are numbered in breadth-first order from the
+    empty partition (state 0).  ``T[(state << n) | row]`` merges every block
+    that meets ``row`` with the columns of ``row`` (a zero row leaves the
+    state unchanged), and ``F[state]`` is the number of blocks plus the
+    number of untouched columns.
     """
-    rowfull = (1 << n) - 1
-    rows = [((masks >> (n * i)) & rowfull).astype(np.int64) for i in range(n)]
-    nonzero = [r != 0 for r in rows]
-    for _ in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                overlap = (rows[i] & rows[j]) != 0
-                union = rows[i] | rows[j]
-                rows[i] = np.where(overlap, union, rows[i])
-                rows[j] = np.where(overlap, union, rows[j])
-    covered = rows[0].copy()
-    for i in range(1, n):
-        covered |= rows[i]
-    iso_right = n - popcount_array(covered)
-    iso_left = np.zeros(len(masks), dtype=np.int64)
-    for nz in nonzero:
-        iso_left += (~nz).astype(np.int64)
-    distinct = np.zeros(len(masks), dtype=np.int64)
+    size = 1 << n
+    states: list[tuple[int, ...]] = [()]
+    index = {(): 0}
+    trans: list[int] = []
+    for blocks in states:  # grows while it is read: a breadth-first search
+        for row in range(size):
+            if row:
+                merged = row
+                for b in blocks:
+                    if b & row:
+                        merged |= b
+                blocks_after = tuple(sorted([b for b in blocks if not b & row] + [merged]))
+            else:
+                blocks_after = blocks
+            if blocks_after not in index:
+                index[blocks_after] = len(states)
+                states.append(blocks_after)
+            trans.append(index[blocks_after])
+    t = np.array(trans, dtype=np.min_scalar_type(len(trans) - 1))
+    f = np.array([len(blocks) + n - sum(blocks).bit_count() for blocks in states],
+                 dtype=np.int64)
+    t.flags.writeable = False
+    f.flags.writeable = False
+    return t, f
+
+
+def component_counts(n: int, masks: np.ndarray) -> np.ndarray:
+    """|C(G)| for each mask, counting all 2n vertices, as int64.
+
+    Runs the row automaton of :func:`_component_automaton` over the rows of
+    every mask at once, one table gather per row.  Each block of its final
+    state is one component holding left and right vertices, each untouched
+    column an isolated right vertex, and each zero row an isolated left
+    vertex.
+    """
+    trans, blocks = _component_automaton(n)
+    masks = np.asarray(masks).astype(np.min_scalar_type((1 << (n * n)) - 1), copy=False)
+    full = masks.dtype.type((1 << n) - 1)
+    state = np.zeros(masks.shape, dtype=trans.dtype)
+    zero_rows = np.zeros(masks.shape, dtype=np.int64)
     for i in range(n):
-        first = nonzero[i].astype(np.int64)
-        for j in range(i):
-            first = np.where(nonzero[j] & (rows[j] == rows[i]), 0, first)
-        distinct += first
-    return distinct + iso_left + iso_right
+        row = ((masks >> masks.dtype.type(n * i)) & full).astype(trans.dtype)
+        zero_rows += row == 0
+        state <<= trans.dtype.type(n)
+        state |= row
+        state = trans[state]
+    return blocks[state] + zero_rows
 
 
 def chi_values(n: int, masks: np.ndarray) -> np.ndarray:
@@ -316,6 +342,29 @@ def chi_table(n: int) -> np.ndarray:
     out = chi_values(n, np.arange(1 << (n * n), dtype=np.int64)).astype(np.int8)
     out.flags.writeable = False
     return out
+
+
+# ---------------------------------------------------------------------------
+# Matching-covered masks with their primal signs
+# ---------------------------------------------------------------------------
+
+def _with_signs(n: int, mc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return mc, (1 - 2 * (chi_values(n, mc) & 1)).astype(np.int8)
+
+
+def mc_signs_for_masks(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The MC masks among ``masks``, in input order (int64), and their
+    primal coefficients (-1)^chi (int8), n <= 5."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return _with_signs(n, masks[mc_flags_for_masks(n, masks)])
+
+
+def stream_mc_signs(n: int, threads: int | None = None
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`stream_mc_masks` with the signs of :func:`mc_signs_for_masks`;
+    the chunk worker runs both the filter and chi, so on the pool threads."""
+    return _stream_chunks(lambda lo, hi: _with_signs(n, _mc_chunk(n, lo, hi)),
+                          1 << (n * n), threads)
 
 
 # ---------------------------------------------------------------------------

@@ -49,20 +49,8 @@ def primal_polynomial(n: int, threads: int | None = None) -> MultilinearPoly:
     the interpolation of :func:`bpm_truth` as two independent routes.
     """
     require_hard("poly-primal", n)
-    mask_blocks: list[np.ndarray] = []
-    coeff_blocks: list[np.ndarray] = []
-    for block in _kernels.stream_mc_masks(n, threads):
-        if block.size == 0:
-            continue
-        if n <= 4:
-            chi = _kernels.chi_table(n)[block].astype(np.int64)
-        else:
-            chi = _kernels.chi_values(n, block)
-        mask_blocks.append(block)
-        coeff_blocks.append(np.where(chi % 2 == 0, 1, -1).astype(np.int64))
-    if not mask_blocks:
-        return MultilinearPoly.zero(n)
-    return MultilinearPoly(n, np.concatenate(mask_blocks), np.concatenate(coeff_blocks))
+    masks, signs = zip(*_kernels.stream_mc_signs(n, threads))
+    return MultilinearPoly(n, np.concatenate(masks), np.concatenate(signs))
 
 
 def dual_polynomial(n: int, threads: int | None = None) -> MultilinearPoly:
@@ -112,7 +100,7 @@ def dual_coefficient(g: BipartiteGraph, threads: int | None = None) -> int:
 
     Streams the matching-covered supergraphs of g and applies the signed
     count (-1)^(|E|+1) * sum (-1)^chi, so no dense dual polynomial is ever
-    materialized; at n <= 4 the dense MC/chi tables short-circuit the scan.
+    materialized.
     """
     n = g.n
     if g.is_empty:
@@ -124,17 +112,9 @@ def dual_coefficient(g: BipartiteGraph, threads: int | None = None) -> int:
     chunk = 1 << _kernels.CHUNK_BITS
     for lo in range(0, 1 << free, chunk):
         hi = min(lo + chunk, 1 << free)
-        sups = _kernels.supergraph_masks(n, g.mask, lo, hi)
-        if n <= 4:
-            flags = _kernels.mc_table(n)[sups]
-            covered = sups[flags]
-            chi = _kernels.chi_table(n)[covered].astype(np.int64)
-        else:
-            flags = _kernels.mc_flags_for_masks(n, sups)
-            covered = sups[flags]
-            chi = _kernels.chi_values(n, covered)
-        if covered.size:
-            total += int(np.where(chi % 2 == 0, 1, -1).sum())
+        _, signs = _kernels.mc_signs_for_masks(
+            n, _kernels.supergraph_masks(n, g.mask, lo, hi))
+        total += int(signs.sum())
     return sign * total
 
 
@@ -269,16 +249,10 @@ def pm_probability(n: int, threads: int | None = None) -> Fraction:
     require_hard("truth-table", n)
     nn = n * n
     numerator = 0
-    for block in _kernels.stream_mc_masks(n, threads):
-        if block.size == 0:
-            continue
-        if n <= 4:
-            chi = _kernels.chi_table(n)[block].astype(np.int64)
-        else:
-            chi = _kernels.chi_values(n, block)
-        sizes = _kernels.popcount_array(block)
-        for parity, sgn in ((0, 1), (1, -1)):
-            counts = np.bincount(sizes[chi % 2 == parity], minlength=nn + 1)
+    for masks, signs in _kernels.stream_mc_signs(n, threads):
+        sizes = _kernels.popcount_array(masks)
+        for sgn in (1, -1):
+            counts = np.bincount(sizes[signs == sgn], minlength=nn + 1)
             numerator += sgn * sum(int(c) << (nn - e)
                                    for e, c in enumerate(counts.tolist()) if c)
     value = Fraction(numerator, 1 << nn)
@@ -409,25 +383,14 @@ def _bits(indices: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _side_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+def _column_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each permutation of the columns, the image of every n-bit row."""
     import itertools
-    return tuple(itertools.permutations(range(n)))
-
-
-@lru_cache(maxsize=None)
-def _row_permute_table(n: int) -> np.ndarray:
-    """table[p, r] = the n-bit row r with its columns permuted by
-    permutation index p."""
-    perms = _side_permutations(n)
-    table = np.zeros((len(perms), 1 << n), dtype=np.int64)
-    for p, tau in enumerate(perms):
-        for r in range(1 << n):
-            out = 0
-            for j in range(n):
-                if (r >> j) & 1:
-                    out |= 1 << tau[j]
-            table[p, r] = out
-    return table
+    tables = []
+    for tau in itertools.permutations(range(n)):
+        tables.append(tuple(sum(1 << tau[j] for j in range(n) if (r >> j) & 1)
+                            for r in range(1 << n)))
+    return tuple(tables)
 
 
 def _transpose_mask(n: int, mask: int) -> int:
@@ -442,24 +405,20 @@ def _transpose_mask(n: int, mask: int) -> int:
 def canonical_form(g: BipartiteGraph) -> int:
     """Smallest mask reachable by permuting the two sides independently and
     optionally swapping them: a full isomorphism invariant for subgraphs of
-    K_{n,n}."""
+    K_{n,n}.
+
+    Row n-1 is the most significant, so for a fixed column permutation the
+    smallest mask has its rows in descending order from row 0; only the
+    2*n! column permutations and side swaps are searched.
+    """
     n = g.n
     rowfull = (1 << n) - 1
-    perms = _side_permutations(n)
-    col_table = _row_permute_table(n)
-    best = g.mask
-    for mask in (g.mask, _transpose_mask(n, g.mask)):
-        rows = [(mask >> (n * i)) & rowfull for i in range(n)]
-        for sigma in perms:
-            picked = [rows[sigma[i]] for i in range(n)]
-            for p in range(len(perms)):
-                cand = 0
-                tab = col_table[p]
-                for i in range(n):
-                    cand |= int(tab[picked[i]]) << (n * i)
-                if cand < best:
-                    best = cand
-    return best
+    orientations = [[(mask >> (n * i)) & rowfull for i in range(n)]
+                    for mask in (g.mask, _transpose_mask(n, g.mask))]
+    # rows listed from the most significant down, ascending
+    best = min(tuple(sorted([table[r] for r in rows]))
+               for rows in orientations for table in _column_permutations(n))
+    return sum(r << (n * i) for i, r in enumerate(reversed(best)))
 
 
 def monomial_summary(p: MultilinearPoly) -> list[dict]:

@@ -18,6 +18,7 @@ coefficients stay in the int64 fast path, guarded by an l1-norm headroom check
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -340,9 +341,26 @@ def l1_norm(p: MultilinearPoly) -> int:
 # Rendering
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _row_edges(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """table[i][r] = the 1-based edges (i+1, j+1) of 0-based row i holding
+    the n-bit neighbour set r, ascending by column."""
+    return tuple(tuple(tuple((i + 1, j + 1) for j in range(n) if (r >> j) & 1)
+                       for r in range(1 << n))
+                 for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _row_vars(n: int) -> tuple[tuple[str, ...], ...]:
+    """table[i][r] = the variable names of row i's edges, space-separated."""
+    return tuple(tuple(" ".join(f"x_{{{a},{b}}}" for a, b in edges) for edges in row)
+                 for row in _row_edges(n))
+
+
 def _term_vars(n: int, mask: int) -> str:
-    return " ".join(f"x_{{{b // n + 1},{b % n + 1}}}"
-                    for b in range(n * n) if (mask >> b) & 1)
+    table = _row_vars(n)
+    full = (1 << n) - 1
+    return " ".join(filter(None, (table[i][(mask >> (n * i)) & full] for i in range(n))))
 
 
 def _text_order(masks: np.ndarray) -> np.ndarray:
@@ -358,17 +376,16 @@ def to_text(p: MultilinearPoly | DyadicPoly) -> str:
     dyadic = isinstance(p, DyadicPoly)
     lines = []
     order = _text_order(p.masks)
-    for idx in order:
-        mask = int(p.masks[idx])
+    values = (p.numerators if dyadic else p.coeffs)[order].tolist()
+    for mask, c in zip(p.masks[order].tolist(), values):
         if dyadic:
-            frac = Fraction(int(p.numerators[idx]), 1 << p.shared_exponent)
+            frac = Fraction(c, 1 << p.shared_exponent)
             sign = "-" if frac < 0 else "+"
             mag = abs(frac)
             coeff_str = "" if mag == 1 else (
                 str(mag.numerator) if mag.denominator == 1
                 else f"{mag.numerator}/{mag.denominator}")
         else:
-            c = int(p.coeffs[idx])
             sign = "-" if c < 0 else "+"
             coeff_str = "" if abs(c) == 1 else str(abs(c))
         vars_str = _term_vars(p.n, mask)
@@ -392,13 +409,15 @@ def to_json_dict(p: MultilinearPoly | DyadicPoly, basis: str) -> dict:
         values = p.numerators
     else:
         values = p.coeffs
+    full = (1 << n) - 1
+    # [i, j] lists made once per document and shared by its terms
+    rows = [[[list(e) for e in edges] for edges in row] for row in _row_edges(n)]
     doc["terms"] = [
         {
-            "mask": f"{int(m):#x}",
-            "edges": [[b // n + 1, b % n + 1]
-                      for b in range(n * n) if (int(m) >> b) & 1],
-            "coeff": int(c),
+            "mask": f"{m:#x}",
+            "edges": [e for i in range(n) for e in rows[i][(m >> (n * i)) & full]],
+            "coeff": c,
         }
-        for m, c in zip(p.masks, values)
+        for m, c in zip(p.masks.tolist(), values.tolist())
     ]
     return doc

@@ -88,5 +88,28 @@ def oracle_chi(n: int, mask: int) -> int:
     return edges - 2 * n + comps
 
 
+def oracle_canonical_form(n: int, mask: int) -> int:
+    """Smallest mask over every row permutation, column permutation and
+    side swap, by trying all 2*(n!)^2 of them."""
+    rowfull = (1 << n) - 1
+    transposed = 0
+    for i in range(n):
+        for j in range(n):
+            if (mask >> (n * i + j)) & 1:
+                transposed |= 1 << (n * j + i)
+    best = mask
+    for m in (mask, transposed):
+        rows = [(m >> (n * i)) & rowfull for i in range(n)]
+        for sigma in itertools.permutations(range(n)):
+            for tau in itertools.permutations(range(n)):
+                cand = 0
+                for i in range(n):
+                    for j in range(n):
+                        if (rows[sigma[i]] >> j) & 1:
+                            cand |= 1 << (n * i + tau[j])
+                best = min(best, cand)
+    return best
+
+
 def oracle_evaluate(terms: dict[int, int], mask: int) -> int:
     return sum(c for s, c in terms.items() if s & ~mask == 0)

@@ -44,6 +44,7 @@ def _clear_caches():
     _kernels.mc_table.cache_clear()
     _kernels.mc_masks.cache_clear()
     _kernels.chi_table.cache_clear()
+    _kernels._component_automaton.cache_clear()
 
 
 def _assert_claim(name: str, n: int):

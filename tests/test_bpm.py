@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchpoly import (
     BipartiteGraph,
@@ -29,7 +31,7 @@ from matchpoly import (
     verify_theorem,
 )
 
-from helpers import nonempty_graphs
+from helpers import nonempty_graphs, oracle_canonical_form
 
 TRUTH_ONES = {1: 1, 2: 7, 3: 247, 4: 37823}
 DUAL_MONOMIALS = {2: 9, 3: 121, 4: 2721}
@@ -370,6 +372,32 @@ class TestMonomialSummary:
         assert canonical_form(g) == canonical_form(relabeled)
         transposed = G(3, (1, 1), (2, 1), (3, 2))
         assert canonical_form(g) == canonical_form(transposed)
+
+
+class TestCanonicalForm:
+    """Sorted rows per column permutation against the full search over row
+    permutations, column permutations and side swaps."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_small_n_matches_oracle(self, n):
+        from matchpoly.bpm import canonical_form
+        for mask in range(1 << (n * n)):
+            assert canonical_form(BipartiteGraph(n, mask)) == oracle_canonical_form(n, mask)
+
+    @given(st.integers(0, (1 << 16) - 1))
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    def test_n4_matches_oracle(self, mask):
+        from matchpoly.bpm import canonical_form
+        assert canonical_form(BipartiteGraph(4, mask)) == oracle_canonical_form(4, mask)
+
+    # repeated and nested rows make ties between column permutations
+    @given(st.lists(st.integers(0, 31) | st.sampled_from([0, 3, 7, 31]),
+                    min_size=5, max_size=5))
+    @settings(deadline=None, derandomize=True, max_examples=15)
+    def test_n5_matches_oracle(self, rows):
+        from matchpoly.bpm import canonical_form
+        mask = sum(r << (5 * i) for i, r in enumerate(rows))
+        assert canonical_form(BipartiteGraph(5, mask)) == oracle_canonical_form(5, mask)
 
 
 class TestVerifyTheorem:

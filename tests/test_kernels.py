@@ -12,8 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchpoly import BipartiteGraph, _kernels, count_mc, is_matching_covered
-from matchpoly.bitgraph import allowed_edges, has_perfect_matching, has_pm_mask
+from matchpoly import BipartiteGraph, _kernels, count_mc, is_matching_covered, pm_probability
+from matchpoly.bitgraph import (
+    allowed_edges,
+    component_count_mask,
+    cyclomatic_number,
+    has_perfect_matching,
+    has_pm_mask,
+)
 
 # n = 5 examples build the row-profile tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -69,17 +75,80 @@ class TestMcFilter:
         assert flags[1:].tolist() == expected
 
 
+class TestComponentCounts:
+    """The row automaton against the scalar union of bitgraph."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_automaton_has_bell_many_states(self, n):
+        bell = {1: 2, 2: 5, 3: 15, 4: 52, 5: 203}[n]  # Bell(n+1)
+        trans, blocks = _kernels._component_automaton(n)
+        assert blocks.shape == (bell,)
+        assert trans.shape == (bell << n,)
+        assert int(trans.max()) == bell - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive_small_n(self, n):
+        masks = np.arange(1 << (n * n), dtype=np.int64)
+        counts = _kernels.component_counts(n, masks)
+        chi = _kernels.chi_values(n, masks)
+        assert counts.dtype == chi.dtype == np.int64
+        assert counts.tolist() == [component_count_mask(n, m) for m in range(len(masks))]
+        assert chi.tolist() == [cyclomatic_number(BipartiteGraph(n, m))
+                                for m in range(len(masks))]
+
+    @given(st.lists(n5_masks(), min_size=1, max_size=200))
+    @PROPERTY
+    def test_n5_uniform_and_mc_masks(self, masks):
+        arr = np.array(masks, dtype=np.int64)
+        assert _kernels.component_counts(5, arr).tolist() == [
+            component_count_mask(5, m) for m in masks]
+        assert _kernels.chi_values(5, arr).tolist() == [
+            cyclomatic_number(BipartiteGraph(5, m)) for m in masks]
+
+
+class TestMcSigns:
+    @given(st.lists(n5_masks(), min_size=1, max_size=40))
+    @PROPERTY
+    def test_n5_masks_match_scalar_oracle(self, masks):
+        mc, signs = _kernels.mc_signs_for_masks(5, np.array(masks, dtype=np.int64))
+        kept = [m for m in masks if oracle_mc(5, m)]
+        assert mc.tolist() == kept
+        assert signs.tolist() == [(-1) ** cyclomatic_number(BipartiteGraph(5, m))
+                                  for m in kept]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stream_matches_masks_kernel(self, n):
+        (mc, signs), = _kernels.stream_mc_signs(n, threads=2)
+        want_mc, want_signs = _kernels.mc_signs_for_masks(n, np.arange(1 << (n * n)))
+        assert np.array_equal(mc, want_mc)
+        assert np.array_equal(signs, want_signs)
+
+
 class TestExhaustiveN5:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_count_mc(self, threads):
         assert count_mc(5, threads=threads) == 6_092_721
 
     def test_stream_independent_of_threads(self):
+        def masks_and_signs(threads):
+            blocks = list(_kernels.stream_mc_signs(5, threads=threads))
+            return (np.concatenate([m for m, _ in blocks]),
+                    np.concatenate([s for _, s in blocks]))
+
         one = np.concatenate(list(_kernels.stream_mc_masks(5, threads=1)))
         two = np.concatenate(list(_kernels.stream_mc_masks(5, threads=2)))
         assert len(one) == 6_092_721
         assert np.array_equal(one, two)
         assert np.all(np.diff(one) > 0)
+        for threads in (1, 2):
+            masks, signs = masks_and_signs(threads)
+            assert np.array_equal(masks, one)
+            assert signs.dtype == np.int8
+            assert np.array_equal(signs, (-1) ** (_kernels.chi_values(5, one) & 1))
+
+    def test_pm_probability_sign_sum_equals_truth_table_count(self):
+        # pm_probability raises unless the signed MC sum equals the direct count
+        assert pm_probability(5, threads=2) * (1 << 25) == int(_kernels.truth_table(5).sum())
 
 
 class TestRowProfile:

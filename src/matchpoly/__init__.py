@@ -38,7 +38,6 @@ from .bpm import (
     primal_polynomial,
     stirling2,
     totally_ordered_count,
-    verify_theorem,
 )
 from .errors import ResourceLimitError
 from .matchcov import (
@@ -91,7 +90,6 @@ __all__ = [
     "canonical_form", "enumerate_hall_violators", "fubini",
     "hvc_lower_bound_witness", "is_hvc", "monomial_summary",
     "pm_probability", "primal_polynomial", "stirling2", "totally_ordered_count",
-    "verify_theorem",
     "ResourceLimitError",
     "HetyeiReport", "check_ear_decomposition", "count_mc", "ear_decomposition",
     "enumerate_mc", "hetyei_check", "is_elementary", "is_matching_covered",

@@ -257,14 +257,6 @@ def stream_mc_masks(n: int, threads: int | None = None) -> Iterator[np.ndarray]:
     return _stream_chunks(lambda lo, hi: _mc_chunk(n, lo, hi), 1 << (n * n), threads)
 
 
-def count_mc_masks(n: int, threads: int | None = None) -> int:
-    if n <= 4:
-        return int(mc_table(n).sum())
-    counts = map_chunks(lambda lo, hi: int(mc_flags_for_range(n, lo, hi).sum()),
-                        1 << (n * n), threads)
-    return sum(counts)
-
-
 # ---------------------------------------------------------------------------
 # Component counts / cyclomatic numbers on vectors of masks
 # ---------------------------------------------------------------------------

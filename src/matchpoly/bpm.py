@@ -34,7 +34,7 @@ from .polyalg import MultilinearPoly, TruthTable, deg2, dualize
 # Truth table and the two polynomials
 # ---------------------------------------------------------------------------
 
-def bpm_truth(n: int, threads: int | None = None) -> TruthTable:
+def bpm_truth(n: int) -> TruthTable:
     """Truth table of "the mask's graph has a perfect matching" over all
     2^(n^2) masks; n <= 5."""
     require_hard("truth-table", n)
@@ -95,7 +95,7 @@ def classify_total_order(g: BipartiteGraph) -> TotalOrderClass:
 # Dual coefficients, one graph at a time
 # ---------------------------------------------------------------------------
 
-def dual_coefficient(g: BipartiteGraph, threads: int | None = None) -> int:
+def dual_coefficient(g: BipartiteGraph) -> int:
     """Exact dual coefficient of a nonempty graph, n <= 5.
 
     Streams the matching-covered supergraphs of g and applies the signed
@@ -439,14 +439,3 @@ def monomial_summary(p: MultilinearPoly) -> list[dict]:
         {"coeff": c, "monomials": counts[c], "isomorphism_classes": len(groups[c])}
         for c in sorted(counts)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Claim driver
-# ---------------------------------------------------------------------------
-
-def verify_theorem(n: int, which: str):
-    """Run one named verification claim at side size n; see
-    :mod:`matchpoly.verify` for the registry."""
-    from . import verify
-    return verify.run_claim(which, n)

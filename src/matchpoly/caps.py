@@ -3,7 +3,7 @@
 Everything here is driven by one table so the limits, and the memory they
 protect against, are documented in a single place.  Library functions enforce
 the ``hard`` column; the CLI additionally keeps ``n`` at or below ``default``
-unless ``--allow-large`` is passed.
+unless ``--allow-large`` is passed.  Every operation also needs ``n >= 1``.
 
 The dominant cost is always a dense buffer of ``2**(n*n)`` machine words:
 
@@ -39,24 +39,34 @@ CAPS: dict[str, Cap] = {
     "lattice": Cap(4, 4, "materializes MC_n plus pairwise cover scans; n=4 -> 7_444 nodes"),
     "lattice-dot": Cap(3, 3, "readability cap; 50 nodes / 135 edges at n=3"),
     "umbrella": Cap(4, 4, "enumerates MC supergraph masks of the argument"),
+    "verify": Cap(4, 5, "runs every claim valid at n; none is defined above n=5"),
 }
 
 
+def allows(op: str, n: int, allow_large: bool = False) -> bool:
+    """Does :func:`require` accept ``n`` for ``op``?"""
+    cap = CAPS[op]
+    return 1 <= n <= (cap.hard if allow_large else cap.default)
+
+
 def require(op: str, n: int, allow_large: bool = False) -> None:
-    """Raise :class:`ResourceLimitError` if ``n`` exceeds the cap for ``op``.
+    """Raise unless ``n`` is in the domain of ``op``: :class:`ValueError` for
+    ``n < 1``, :class:`ResourceLimitError` above the cap.
 
     ``allow_large=True`` lifts the limit from ``default`` to ``hard``; nothing
     lifts ``hard``.
     """
+    if allows(op, n, allow_large):
+        return
     cap = CAPS[op]
-    limit = cap.hard if allow_large else cap.default
+    if n < 1:
+        raise ValueError(f"{op}: n must be at least 1, got n={n}")
     if n > cap.hard:
         raise ResourceLimitError(
             f"{op}: n={n} exceeds the hard cap n<={cap.hard} ({cap.note})")
-    if n > limit:
-        raise ResourceLimitError(
-            f"{op}: n={n} exceeds the default cap n<={cap.default}; "
-            f"pass allow_large/--allow-large to go up to n<={cap.hard} ({cap.note})")
+    raise ResourceLimitError(
+        f"{op}: n={n} exceeds the default cap n<={cap.default}; "
+        f"pass allow_large/--allow-large to go up to n<={cap.hard} ({cap.note})")
 
 
 def require_hard(op: str, n: int) -> None:

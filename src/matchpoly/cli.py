@@ -70,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_poly(args) -> int:
-    cap_key = "poly-fourier" if args.basis == "fourier" else f"poly-{args.basis}"
-    caps.require(cap_key, args.n, args.allow_large)
+    caps.require(f"poly-{args.basis}", args.n, args.allow_large)
     if args.basis == "primal":
         poly = bpm.primal_polynomial(args.n, args.threads)
     elif args.basis == "dual":
@@ -89,7 +88,7 @@ def _cmd_poly(args) -> int:
 def _cmd_lattice(args) -> int:
     caps.require("lattice-dot" if args.format == "dot" else "lattice",
                  args.n, args.allow_large)
-    lat = mclattice.build_lattice(args.n, args.threads)
+    lat = mclattice.build_lattice(args.n)
     if args.format == "dot":
         sys.stdout.write(lat.to_dot())
     else:
@@ -116,13 +115,12 @@ def _cmd_classify(args) -> int:
         f"elementary={'yes' if elem else 'no'}",
         f"chi={chi}",
     ]
-    cap = caps.CAPS["dual-coefficient"]
-    if g.n <= (cap.hard if args.allow_large else cap.default):
-        coeff = 0 if g.is_empty else bpm.dual_coefficient(g, args.threads)
+    if caps.allows("dual-coefficient", g.n, args.allow_large):
+        coeff = 0 if g.is_empty else bpm.dual_coefficient(g)
         fields.append(f"dual_coeff={coeff}")
     else:
         fields.append("dual_coeff=unavailable")
-    if g.n <= caps.CAPS["umbrella"].hard:
+    if caps.allows("umbrella", g.n, args.allow_large):
         if g.is_empty:
             complete = True  # the umbrella of the bottom is every matching
         else:
@@ -147,14 +145,9 @@ def _cmd_summary(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n > 4 and not args.allow_large:
-        raise ResourceLimitError(
-            f"verify: n={args.n} claims run minutes; pass --allow-large")
+    caps.require("verify", args.n, args.allow_large)
     if args.claim == "all":
         reports = verify.run_all(args.n)
-        if not reports:
-            print(f"no claims defined at n={args.n}")
-            return EXIT_USAGE
     else:
         reports = [verify.run_claim(args.claim, args.n)]
     for rep in reports:
@@ -187,8 +180,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.n <= 4:
-        caps.require("poly-dual", args.n, args.allow_large)
     report = bpm.bounds_report(args.n, args.threads)
     json.dump(report.to_json_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")

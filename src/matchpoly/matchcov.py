@@ -23,7 +23,7 @@ from .bitgraph import (
     has_perfect_matching,
     is_connected_spanning,
 )
-from .errors import ResourceLimitError
+from .caps import require_hard
 
 
 def is_matching_covered(g: BipartiteGraph) -> bool:
@@ -329,36 +329,16 @@ def ear_decomposition(g: BipartiteGraph) -> list[Path] | None:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_mc(n: int, allow_huge: bool = False,
-                 threads: int | None = None) -> Iterator[BipartiteGraph]:
-    """Stream every matching-covered graph in K_{n,n}, ascending by bitmask.
-
-    n = 5 yields about 6.1 million graphs; n > 5 is refused unless
-    ``allow_huge`` is set (and is then a 2^(n^2)-mask scan: bring patience).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 5 and not allow_huge:
-        raise ResourceLimitError(
-            f"enumerate_mc: n={n} scans 2^{n * n} masks; pass allow_huge=True to force")
-    if n <= 5:
-        for block in _kernels.stream_mc_masks(n):
-            for m in block.tolist():
-                yield BipartiteGraph(n, m)
-        return
-    for mask in range(1, 1 << (n * n)):
-        g = BipartiteGraph(n, mask)
-        if has_perfect_matching(g) and allowed_edges(g) == mask:
-            yield g
+def enumerate_mc(n: int) -> Iterator[BipartiteGraph]:
+    """Stream every matching-covered graph in K_{n,n}, ascending by bitmask;
+    n = 5 yields about 6.1 million graphs."""
+    require_hard("enumerate-mc", n)
+    for block in _kernels.stream_mc_masks(n):
+        for m in block.tolist():
+            yield BipartiteGraph(n, m)
 
 
-def count_mc(n: int, allow_huge: bool = False, threads: int | None = None) -> int:
-    """|MC_n| without materializing the stream."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 5:
-        if not allow_huge:
-            raise ResourceLimitError(
-                f"count_mc: n={n} scans 2^{n * n} masks; pass allow_huge=True to force")
-        return sum(1 for _ in enumerate_mc(n, allow_huge=True))
-    return _kernels.count_mc_masks(n, threads)
+def count_mc(n: int, threads: int | None = None) -> int:
+    """|MC_n| without materializing the graphs."""
+    require_hard("enumerate-mc", n)
+    return sum(len(block) for block in _kernels.stream_mc_masks(n, threads))

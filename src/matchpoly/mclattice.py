@@ -89,7 +89,7 @@ class McLattice:
         return "\n".join(lines) + "\n"
 
 
-def build_lattice(n: int, threads: int | None = None) -> McLattice:
+def build_lattice(n: int) -> McLattice:
     """Materialize (MC_n + bottom, containment) with ranks, Moebius numbers
     and covering edges; n <= 4.
 

@@ -230,22 +230,19 @@ def evaluate_all(p: MultilinearPoly) -> np.ndarray:
     return buf
 
 
-def to_truth_table(p: MultilinearPoly) -> TruthTable:
-    """Evaluate everywhere and repackage; rejects non-0/1-valued polynomials."""
-    vals = evaluate_all(p)
-    if vals.size and (vals.min() < 0 or vals.max() > 1):
-        raise ValueError("polynomial is not 0/1-valued on the cube")
-    return TruthTable(p.n, vals.astype(np.uint8))
-
-
-def _require_boolean(p: MultilinearPoly, assume_boolean: bool) -> None:
-    if assume_boolean:
-        return
+def _boolean_values(p: MultilinearPoly) -> np.ndarray:
+    """:func:`evaluate_all`, rejecting polynomials that are not 0/1-valued."""
     vals = evaluate_all(p)
     if vals.size and (vals.min() < 0 or vals.max() > 1):
         bad = int(np.nonzero((vals < 0) | (vals > 1))[0][0])
         raise ValueError(
             f"polynomial is not 0/1-valued (value {int(vals[bad])} at mask {bad:#x})")
+    return vals
+
+
+def to_truth_table(p: MultilinearPoly) -> TruthTable:
+    """Evaluate everywhere and repackage; rejects non-0/1-valued polynomials."""
+    return TruthTable(p.n, _boolean_values(p).astype(np.uint8))
 
 
 def evaluate(p: MultilinearPoly, g: BipartiteGraph | int) -> int:
@@ -257,30 +254,42 @@ def evaluate(p: MultilinearPoly, g: BipartiteGraph | int) -> int:
     return int(p.coeffs[inside].sum())
 
 
-def dualize(p: MultilinearPoly, assume_boolean: bool = False) -> MultilinearPoly:
-    """Polynomial of the dual function x -> 1 - f(1-x).
+def _signed_superset_sums(p: MultilinearPoly, weights: np.ndarray,
+                          constant: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one dense transform behind :func:`dualize` and :func:`to_fourier`.
 
-    Superset sums with alternating signs: the dual coefficient at S is
-    (-1)^{|S|+1} * sum over T supseteq S of a_T, plus 1 on the constant term.
-    Requires a 0/1-valued input (checked densely unless attested).
+    With w_T = ``weights`` at p's masks (zero elsewhere), returns the nonzero
+    c_S ascending by S: c_S = (-1)^{|S|+1} * sum over T supseteq S of w_T for
+    nonempty S, and c_0 = ``constant`` - sum of all w_T.  p must be
+    0/1-valued; that is checked first, on a buffer freed before the
+    transform buffer is made.
     """
-    require_hard("poly-dual", p.n)
-    _require_boolean(p, assume_boolean)
+    _boolean_values(p)
     buf = np.zeros(1 << p.nvars, dtype=np.int64)
-    buf[p.masks] = p.coeffs
+    buf[p.masks] = weights
     _kernels.check_transform_headroom(buf)
     _kernels.superset_sum_transform(buf, p.nvars)
-    buf[0] = 1 - buf[0]
+    buf[0] = constant - buf[0]
     nz = np.nonzero(buf)[0]
     vals = buf[nz]
     parity = _kernels.popcount_array(nz) & 1
     signed = np.where(parity == 1, vals, -vals)
     if nz.size and nz[0] == 0:
         signed[0] = vals[0]  # constant term already final
-    return MultilinearPoly(p.n, nz.astype(np.int64), signed)
+    return nz.astype(np.int64), signed
 
 
-def to_fourier(p: MultilinearPoly, assume_boolean: bool = False) -> DyadicPoly:
+def dualize(p: MultilinearPoly) -> MultilinearPoly:
+    """Polynomial of the dual function x -> 1 - f(1-x) of a 0/1-valued p.
+
+    The dual coefficient at S is (-1)^{|S|+1} * sum over T supseteq S of
+    a_T, plus 1 on the constant term.
+    """
+    require_hard("poly-dual", p.n)
+    return MultilinearPoly(p.n, *_signed_superset_sums(p, p.coeffs, 1))
+
+
+def to_fourier(p: MultilinearPoly) -> DyadicPoly:
     """Fourier expansion of the Boolean function represented by ``p``.
 
     In the {1,-1} basis with 1 encoding False, the coefficient at S is
@@ -288,22 +297,11 @@ def to_fourier(p: MultilinearPoly, assume_boolean: bool = False) -> DyadicPoly:
     constant term.  Everything is scaled by 2^{n^2-1} so the superset sums
     stay integral; the shared exponent is then reduced to normal form.
     """
-    require_hard("poly-dual", p.n)
-    _require_boolean(p, assume_boolean)
+    require_hard("poly-fourier", p.n)
     nvars = p.nvars
-    buf = np.zeros(1 << nvars, dtype=np.int64)
     weights = p.coeffs << (nvars - _kernels.popcount_array(p.masks))
-    buf[p.masks] = weights
-    _kernels.check_transform_headroom(buf)
-    _kernels.superset_sum_transform(buf, nvars)
-    buf[0] = (1 << (nvars - 1)) - buf[0]
-    nz = np.nonzero(buf)[0]
-    vals = buf[nz]
-    parity = _kernels.popcount_array(nz) & 1
-    signed = np.where(parity == 1, vals, -vals)
-    if nz.size and nz[0] == 0:
-        signed[0] = vals[0]
-    return DyadicPoly(p.n, nvars - 1, nz.astype(np.int64), signed)
+    return DyadicPoly(p.n, nvars - 1,
+                      *_signed_superset_sums(p, weights, 1 << (nvars - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from matchpoly import (
     primal_polynomial,
     stirling2,
     totally_ordered_count,
-    verify_theorem,
 )
+from matchpoly.verify import run_claim
 
 from helpers import nonempty_graphs, oracle_canonical_form
 
@@ -402,19 +402,19 @@ class TestCanonicalForm:
 
 class TestVerifyTheorem:
     def test_thm1_passes(self):
-        report = verify_theorem(3, "thm1")
+        report = run_claim("thm1", 3)
         assert report.passed and report.claim == "thm1"
 
     def test_appendix_b_passes(self):
-        assert verify_theorem(3, "appendix_b").passed
+        assert run_claim("appendix_b", 3).passed
 
     def test_thm2_strict_passes(self):
-        assert verify_theorem(3, "thm2_strict").passed
+        assert run_claim("thm2_strict", 3).passed
 
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
-            verify_theorem(3, "no_such_claim")
+            run_claim("no_such_claim", 3)
 
     def test_wrong_n_rejected(self):
         with pytest.raises(ValueError):
-            verify_theorem(9, "thm1")
+            run_claim("thm1", 9)

@@ -120,6 +120,19 @@ class TestClassify:
         assert "dual_coeff=1" in out
         assert "umbrella_complete=yes" in out
 
+    def test_n5_without_allow_large_unavailable(self, capsys):
+        code, out, _ = run(capsys, "classify", "--n", "5", "--graph", "0x7BDEF")
+        assert code == 0
+        assert out.rstrip().endswith("dual_coeff=unavailable umbrella_complete=unavailable")
+
+    def test_n5_allow_large_dense_coefficient(self, capsys):
+        # K_{4,4} inside K_{5,5}: coefficient 9, also found by the subset
+        # Moebius sum over the n=5 truth table
+        code, out, _ = run(capsys, "--allow-large", "classify", "--n", "5",
+                           "--graph", "0x7BDEF")
+        assert code == 0
+        assert "dual_coeff=9 umbrella_complete=unavailable" in out
+
     def test_incomplete_umbrella_reported(self, capsys):
         _, out, _ = run(capsys, "classify", "--n", "3", "--graph", "1-1")
         assert "umbrella_complete=no" in out
@@ -155,6 +168,10 @@ class TestVerify:
     def test_n5_needs_allow_large(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "5", "--claim", "thm1")
         assert code == 3 and "allow-large" in err
+
+    def test_n6_over_hard_cap(self, capsys):
+        code, out, err = run(capsys, "--allow-large", "verify", "--n", "6")
+        assert code == 3 and "hard cap" in err and out == ""
 
 
 class TestCount:
@@ -209,6 +226,29 @@ class TestBounds:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ("poly", "--basis", "primal"),
+        ("poly", "--basis", "dual"),
+        ("poly", "--basis", "fourier"),
+        ("lattice", "--format", "json"),
+        ("lattice", "--format", "dot"),
+        ("classify", "--graph", "0x0"),
+        ("summary", "--basis", "primal"),
+        ("summary", "--basis", "dual"),
+        ("verify",),
+        ("count", "--what", "mc"),
+        ("count", "--what", "pm-graphs"),
+        ("count", "--what", "monomials-primal"),
+        ("count", "--what", "monomials-dual"),
+        ("count", "--what", "totally-ordered"),
+        ("count", "--what", "hall-violators"),
+        ("bounds",),
+    ], ids=" ".join)
+    def test_n_below_1_exits_2(self, capsys, command, n):
+        code, out, err = run(capsys, command[0], "--n", n, *command[1:])
+        assert code == 2 and err.startswith("error:") and out == ""
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -137,13 +137,12 @@ class TestDualize:
                 assert dualize(dualize(p)) == p
 
     def test_involution_exhaustive_n2(self):
-        # every Boolean function of the 4 edge variables; the second dualize
-        # may skip the 0/1 re-check (the dual of a Boolean function is one)
+        # every Boolean function of the 4 edge variables
         bit_positions = np.arange(16)
         for value in range(1 << 16):
             bits = ((value >> bit_positions) & 1).astype(np.uint8)
             p = interpolate(TruthTable(2, bits))
-            assert dualize(dualize(p), assume_boolean=True) == p, value
+            assert dualize(dualize(p)) == p, value
 
     def test_constant_one_dualizes_to_zero(self):
         p = MultilinearPoly.from_terms(2, {0: 1})
@@ -187,6 +186,10 @@ class TestFourier:
             total = sum(Fraction(num, 1 << f.shared_exponent) ** 2
                         for _, num in f.items())
             assert total == 1
+
+    def test_capped_at_4(self):
+        with pytest.raises(ResourceLimitError):
+            to_fourier(MultilinearPoly.from_terms(5, {0: 1}))
 
     def test_shared_exponent_normalized(self):
         p = MultilinearPoly.from_terms(2, BPM2_TERMS)

@@ -182,21 +182,29 @@ def _suffix_levels(n: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _row_allowed(n: int, i: int, masks: np.ndarray) -> np.ndarray:
-    """True where every present edge in 0-based row i is allowed.
+def _row_reach(n: int, i: int, masks: np.ndarray) -> Iterator[np.ndarray]:
+    """For each column j, a uint32 word that is nonzero iff edge (i, j),
+    whether present or not, lies on a perfect matching of mask + (i, j).
 
-    Edge (i, j) is allowed iff some column set S that rows before i can be
+    That holds iff some column set S that rows before 0-based row i can be
     matched onto avoids j and the rows after i can be matched onto the rest,
-    i.e. iff bit S|{j} of the complemented suffix word is set.  An absent
-    edge sets bit 0, which no shifted prefix bit reaches.
+    i.e. iff bit S|{j} of the complemented suffix word is set.  Each word is
+    a fresh array the caller may modify.
     """
     prefix = row_profile_levels(n)[i][masks & np.uint32((1 << (n * i)) - 1)]
     suffix = _suffix_levels(n)[n - 1 - i][masks >> np.uint32(n * (i + 1))]
-    absent = ~masks >> np.uint32(n * i)
-    ok = np.ones(masks.shape, dtype=bool)
     for j, without in enumerate(_without_column(n)):
         reach = (prefix & without) << np.uint32(1 << j)
         reach &= suffix
+        yield reach
+
+
+def _row_allowed(n: int, i: int, masks: np.ndarray) -> np.ndarray:
+    """True where every present edge in 0-based row i is allowed.  An absent
+    edge sets bit 0, which no shifted prefix bit reaches."""
+    absent = ~masks >> np.uint32(n * i)
+    ok = np.ones(masks.shape, dtype=bool)
+    for j, reach in enumerate(_row_reach(n, i, masks)):
         reach |= (absent >> np.uint32(j)) & np.uint32(1)
         ok &= reach != 0
     return ok
@@ -223,6 +231,28 @@ def mc_flags_for_masks(n: int, masks: np.ndarray) -> np.ndarray:
     out = np.zeros(masks.shape, dtype=bool)
     out[idx] = True
     return out
+
+
+def allowed_edge_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """The union of all perfect matchings of each mask (its allowed edges),
+    0 where the mask has none, as uint32; n <= 5."""
+    masks = np.asarray(masks).astype(np.uint32, copy=False)
+    out = np.zeros(masks.shape, dtype=np.uint32)
+    for i in range(n):
+        for j, reach in enumerate(_row_reach(n, i, masks)):
+            bit = np.uint32(n * i + j)
+            out |= (reach != 0).astype(np.uint32) << bit & masks
+    return out
+
+
+def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """The (m, n) uint8 matrix of rows: column i holds row i of each mask."""
+    masks = np.asarray(masks)
+    full = masks.dtype.type((1 << n) - 1)
+    rows = np.empty(masks.shape + (n,), dtype=np.uint8)
+    for i in range(n):
+        rows[..., i] = (masks >> masks.dtype.type(n * i)) & full
+    return rows
 
 
 def mc_flags_for_range(n: int, lo: int, hi: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .bitgraph import (
     has_perfect_matching,
     union_of_perfect_matchings,
 )
-from .caps import require_hard
+from .caps import require_domain, require_hard
 from .matchcov import is_matching_covered
 from .polyalg import MultilinearPoly, TruthTable, deg2, dualize
 
@@ -91,6 +91,27 @@ def classify_total_order(g: BipartiteGraph) -> TotalOrderClass:
             else TotalOrderClass.TOTALLY_ORDERED_NON_STRICT)
 
 
+def total_order_codes(n: int, masks: np.ndarray) -> np.ndarray:
+    """:func:`classify_total_order` over a vector of masks, n <= 5, as int8
+    codes in :class:`TotalOrderClass` order: 0 not totally ordered,
+    1 strict, 2 non-strict.
+
+    Each row is keyed by (degree << n) | row, so one sort per mask puts the
+    rows in degree order; the chain test then runs on neighbouring rows.
+    """
+    rows = _kernels.mask_rows(n, masks)
+    keys = np.bitwise_count(rows)
+    keys <<= np.uint8(n)
+    keys |= rows
+    keys.sort(axis=-1)
+    keys &= np.uint8((1 << n) - 1)
+    rows = keys[..., ::-1]  # degree descending
+    hi, lo = rows[..., :-1], rows[..., 1:]
+    chain = ~np.any(lo & ~hi, axis=-1)
+    strict = (rows[..., -1] != 0) & ~np.any(lo == hi, axis=-1)
+    return np.where(chain, np.where(strict, np.int8(1), np.int8(2)), np.int8(0))
+
+
 # ---------------------------------------------------------------------------
 # Dual coefficients, one graph at a time
 # ---------------------------------------------------------------------------
@@ -125,6 +146,7 @@ def dual_coefficient(g: BipartiteGraph) -> int:
 def enumerate_hall_violators(n: int) -> list[BipartiteGraph]:
     """All complete bipartite K_{X,Y} with |X| + |Y| = n + 1, ascending by
     mask.  Their presence in the complement is what blocks a matching."""
+    require_domain("hall-violators", n)
     if n < 2:
         raise ValueError("Hall violators need n >= 2")
     masks = []
@@ -234,8 +256,7 @@ def fubini(m: int) -> int:
 def totally_ordered_count(n: int) -> int:
     """Number of totally ordered graphs in K_{n,n}:
     sum over k of ((k-1)! * S(n+1, k))^2."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    require_domain("totally-ordered", n)
     return sum((math.factorial(k - 1) * stirling2(n + 1, k)) ** 2
                for k in range(1, n + 2))
 
@@ -312,6 +333,7 @@ def bounds_report(n: int, threads: int | None = None) -> BoundsReport:
     monomial count, or = log3 of the dual monomial count plus the closed-form
     2*log3(n!) that needs no enumeration.
     """
+    require_domain("bounds", n)
     or_factorial = 2 * _log3(math.factorial(n))
     if n > 4:
         return BoundsReport(n, None, None, None, None, or_factorial, None, None)
@@ -365,6 +387,38 @@ def appendix_a_zero_test(g: BipartiteGraph) -> bool:
             if 0 < present < total:
                 return True  # proper nonempty cross slice
     return False
+
+
+def appendix_a_zero_flags(n: int, masks: np.ndarray) -> np.ndarray:
+    """:func:`appendix_a_zero_test` over a vector of masks, n <= 5.
+
+    Every vertex of the union U of all perfect matchings lies on one, so
+    the components of U are complete bipartite iff every two U-rows are
+    equal or disjoint; the rows of U are then the right sides of the
+    components.  A cross slice L1 x R2 is all or nothing iff every left i
+    meets each U-row R disjoint from its own in nothing or all of R, and
+    the lefts sharing a U-row agree.
+    """
+    masks = np.asarray(masks).astype(np.uint32, copy=False)
+    union = _kernels.allowed_edge_masks(n, masks)
+    if np.any(union == 0):
+        raise ValueError("test requires a graph with a perfect matching")
+    if np.any(union == masks):
+        raise ValueError("test requires a graph outside MC_n")
+    u = _kernels.mask_rows(n, union)
+    g = _kernels.mask_rows(n, masks)
+    flags = np.zeros(masks.shape, dtype=bool)
+    for i in range(n):
+        for k in range(n):
+            r = u[..., k]
+            if k > i:  # overlapping but unequal U-rows
+                flags |= (u[..., i] != r) & ((u[..., i] & r) != 0)
+            cross = (u[..., i] & r) == 0
+            part = g[..., i] & r
+            flags |= cross & (part != 0) & (part != r)
+            for i2 in range(i + 1, n):
+                flags |= cross & (u[..., i2] == u[..., i]) & ((g[..., i2] & r) != part)
+    return flags
 
 
 def _nontrivial_components(g: BipartiteGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -49,6 +49,13 @@ def allows(op: str, n: int, allow_large: bool = False) -> bool:
     return 1 <= n <= (cap.hard if allow_large else cap.default)
 
 
+def require_domain(op: str, n: int) -> None:
+    """Raise :class:`ValueError` for ``n < 1``, outside every operation's
+    domain."""
+    if n < 1:
+        raise ValueError(f"{op}: n must be at least 1, got n={n}")
+
+
 def require(op: str, n: int, allow_large: bool = False) -> None:
     """Raise unless ``n`` is in the domain of ``op``: :class:`ValueError` for
     ``n < 1``, :class:`ResourceLimitError` above the cap.
@@ -58,9 +65,8 @@ def require(op: str, n: int, allow_large: bool = False) -> None:
     """
     if allows(op, n, allow_large):
         return
+    require_domain(op, n)
     cap = CAPS[op]
-    if n < 1:
-        raise ValueError(f"{op}: n must be at least 1, got n={n}")
     if n > cap.hard:
         raise ResourceLimitError(
             f"{op}: n={n} exceeds the hard cap n<={cap.hard} ({cap.note})")

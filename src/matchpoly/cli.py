@@ -98,6 +98,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    caps.require_domain("classify", args.n)
     g = parse_graph(args.n, args.graph)
     cls = bpm.classify_total_order(g)
     if g.is_empty:

@@ -52,6 +52,17 @@ def _log3(x: int) -> float:
     return math.log(x) / math.log(3)
 
 
+def _total_order_codes(n: int) -> np.ndarray:
+    """Total-order class codes of every mask, indexed by mask."""
+    return bpm.total_order_codes(n, np.arange(1 << (n * n)))
+
+
+def _nonempty_of_class(n: int, cls: bpm.TotalOrderClass) -> np.ndarray:
+    """The nonempty masks of total-order class ``cls``, ascending."""
+    code = list(bpm.TotalOrderClass).index(cls)
+    return np.flatnonzero(_total_order_codes(n)[1:] == code) + 1
+
+
 # ---------------------------------------------------------------------------
 # Claims
 # ---------------------------------------------------------------------------
@@ -115,15 +126,14 @@ def _claim_thm2_strict(n: int) -> VerificationReport:
     and there are exactly (n!)^2 of them."""
     table = _dense_dual(n)
     want = (-1) ** (n + 1)
-    count = 0
-    for mask in range(1, 1 << (n * n)):
-        g = BipartiteGraph(n, mask)
-        if bpm.classify_total_order(g) is bpm.TotalOrderClass.STRICTLY_TOTALLY_ORDERED:
-            count += 1
-            if table[mask] != want:
-                return _report("thm2_strict", n, False,
-                               f"strictly ordered graph with coefficient "
-                               f"{int(table[mask])} != {want}", mask)
+    strict = _nonempty_of_class(n, bpm.TotalOrderClass.STRICTLY_TOTALLY_ORDERED)
+    bad = strict[table[strict] != want]
+    if bad.size:
+        mask = int(bad[0])
+        return _report("thm2_strict", n, False,
+                       f"strictly ordered graph with coefficient "
+                       f"{int(table[mask])} != {want}", mask)
+    count = strict.size
     expected = math.factorial(n) ** 2
     if count != expected:
         return _report("thm2_strict", n, False,
@@ -136,17 +146,14 @@ def _claim_thm2_strict(n: int) -> VerificationReport:
 def _claim_thm2_nonordered(n: int) -> VerificationReport:
     """Every non-totally-ordered graph has dual coefficient 0."""
     table = _dense_dual(n)
-    count = 0
-    for mask in range(1, 1 << (n * n)):
-        g = BipartiteGraph(n, mask)
-        if bpm.classify_total_order(g) is bpm.TotalOrderClass.NOT_TOTALLY_ORDERED:
-            count += 1
-            if table[mask] != 0:
-                return _report("thm2_nonordered", n, False,
-                               f"non-ordered graph with coefficient {int(table[mask])}",
-                               mask)
+    nonordered = _nonempty_of_class(n, bpm.TotalOrderClass.NOT_TOTALLY_ORDERED)
+    bad = nonordered[table[nonordered] != 0]
+    if bad.size:
+        mask = int(bad[0])
+        return _report("thm2_nonordered", n, False,
+                       f"non-ordered graph with coefficient {int(table[mask])}", mask)
     return _report("thm2_nonordered", n, True,
-                   f"all {count} non-totally-ordered graphs have coefficient 0")
+                   f"all {nonordered.size} non-totally-ordered graphs have coefficient 0")
 
 
 def _claim_dual_count(n: int) -> VerificationReport:
@@ -174,6 +181,44 @@ def _independent_covers(lat: mclattice.McLattice) -> set[tuple[int, int]]:
             if not between:
                 pairs.add((ai, bi))
     return pairs
+
+
+def _join_meet_tables(lat: mclattice.McLattice
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node-index tables of the join (edge union) and meet (allowed edges of
+    the intersection) of every node pair, and where either one is not a
+    node (its index there is meaningless)."""
+    a, b = lat.masks[:, None], lat.masks[None, :]
+    tables = []
+    outside = np.zeros((len(lat), len(lat)), dtype=bool)
+    for value in (a | b, _kernels.allowed_edge_masks(lat.n, a & b).astype(np.int64)):
+        idx = np.minimum(np.searchsorted(lat.masks, value), len(lat) - 1)
+        outside |= lat.masks[idx] != value
+        tables.append(idx)
+    return tables[0], tables[1], outside
+
+
+def _first_axiom_failure(joins: np.ndarray, meets: np.ndarray
+                         ) -> tuple[str, int] | None:
+    """The first failing lattice axiom as (message, node index), scanning
+    nodes i, then idempotence, then for each j absorption and for each k
+    join and meet associativity."""
+    size = len(joins)
+    ids = np.arange(size)
+    col = ids[:, None]
+    idem = (joins[ids, ids] != ids) | (meets[ids, ids] != ids)
+    absorb = (joins[col, meets] != col) | (meets[col, joins] != col)
+    assoc = np.stack([joins[joins] != joins[col[..., None], joins[None]],
+                      meets[meets] != meets[col[..., None], meets[None]]], axis=-1)
+    # one row per node i, its checks in scan order, and their messages
+    per_j = np.concatenate([absorb[..., None], assoc.reshape(size, size, -1)], axis=-1)
+    order = np.concatenate([idem[:, None], per_j.reshape(size, -1)], axis=1)
+    if not order.any():
+        return None
+    messages = ["idempotence fails"] + size * (
+        ["absorption fails"] + size * ["join associativity fails", "meet associativity fails"])
+    i, pos = divmod(int(np.argmax(order)), order.shape[1])
+    return messages[pos], i
 
 
 def _claim_lattice(n: int) -> VerificationReport:
@@ -217,33 +262,16 @@ def _claim_lattice(n: int) -> VerificationReport:
                            f"interval Moebius sum {s} != {want}", m)
 
     # join/meet tables and the lattice axioms
-    graphs = [BipartiteGraph(n, m) for m in nodes]
+    joins, meets, outside = _join_meet_tables(lat)
+    if outside.any():
+        i = int(np.argmax(outside.any(axis=1)))
+        return _report("lattice", n, False,
+                       "join/meet landed outside the lattice", nodes[i])
+    failure = _first_axiom_failure(joins, meets)
+    if failure is not None:
+        message, i = failure
+        return _report("lattice", n, False, message, nodes[i])
     size = len(nodes)
-    joins = [[0] * size for _ in range(size)]
-    meets = [[0] * size for _ in range(size)]
-    index = {m: i for i, m in enumerate(nodes)}
-    for i in range(size):
-        for j in range(i, size):
-            jm = mclattice.join(graphs[i], graphs[j]).mask
-            mm = mclattice.meet(graphs[i], graphs[j]).mask
-            if jm not in index or mm not in index:
-                return _report("lattice", n, False,
-                               "join/meet landed outside the lattice", nodes[i])
-            joins[i][j] = joins[j][i] = index[jm]
-            meets[i][j] = meets[j][i] = index[mm]
-    for i in range(size):
-        if joins[i][i] != i or meets[i][i] != i:
-            return _report("lattice", n, False, "idempotence fails", nodes[i])
-        for j in range(size):
-            if joins[i][meets[i][j]] != i or meets[i][joins[i][j]] != i:
-                return _report("lattice", n, False, "absorption fails", nodes[i])
-            for k in range(size):
-                if joins[joins[i][j]][k] != joins[i][joins[j][k]]:
-                    return _report("lattice", n, False, "join associativity fails",
-                                   nodes[i])
-                if meets[meets[i][j]][k] != meets[i][meets[j][k]]:
-                    return _report("lattice", n, False, "meet associativity fails",
-                                   nodes[i])
     return _report("lattice", n, True,
                    f"{size} nodes, {len(stored)} covers: ranks, Moebius numbers, "
                    f"interval sums and lattice axioms all verified")
@@ -414,28 +442,23 @@ def _claim_appendix_a(n: int) -> VerificationReport:
     truth = _kernels.truth_table(n)
     mc = _kernels.mc_table(n)
     if n <= 3:
-        candidates = range(1, 1 << (n * n))
+        candidates = np.arange(1, 1 << (n * n))
         label = "exhaustive"
     else:
         rng = np.random.default_rng(_APPENDIX_A_SEED)
         candidates = np.unique(
-            rng.integers(1, 1 << (n * n), size=_APPENDIX_A_SAMPLES)).tolist()
+            rng.integers(1, 1 << (n * n), size=_APPENDIX_A_SAMPLES))
         label = f"{_APPENDIX_A_SAMPLES} samples"
-    flagged = 0
-    qualifying = 0
-    for mask in candidates:
-        if not truth[mask] or mc[mask]:
-            continue
-        qualifying += 1
-        if bpm.appendix_a_zero_test(BipartiteGraph(n, int(mask))):
-            flagged += 1
-            if table[mask] != 0:
-                return _report("appendix_a", n, False,
-                               f"flagged graph has coefficient {int(table[mask])}",
-                               int(mask))
+    qualifying = candidates[(truth[candidates] != 0) & ~mc[candidates]]
+    flagged = qualifying[bpm.appendix_a_zero_flags(n, qualifying)]
+    bad = flagged[table[flagged] != 0]
+    if bad.size:
+        mask = int(bad[0])
+        return _report("appendix_a", n, False,
+                       f"flagged graph has coefficient {int(table[mask])}", mask)
     return _report("appendix_a", n, True,
-                   f"{label}: {flagged}/{qualifying} qualifying graphs flagged, "
-                   f"all with zero coefficient")
+                   f"{label}: {flagged.size}/{qualifying.size} qualifying graphs "
+                   f"flagged, all with zero coefficient")
 
 
 _HAND_BOUNDS = {
@@ -467,10 +490,7 @@ def _claim_counting(n: int) -> VerificationReport:
     """Counting formula vs exhaustive classification, plus the small-number
     facts the formulas rest on."""
     formula = bpm.totally_ordered_count(n)
-    exhaustive = sum(
-        1 for mask in range(1 << (n * n))
-        if bpm.classify_total_order(BipartiteGraph(n, mask))
-        is not bpm.TotalOrderClass.NOT_TOTALLY_ORDERED)
+    exhaustive = int(np.count_nonzero(_total_order_codes(n)))
     if formula != exhaustive:
         return _report("counting", n, False,
                        f"formula {formula} != exhaustive {exhaustive}")

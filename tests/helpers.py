@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from matchpoly import BipartiteGraph
 
 
@@ -113,3 +115,10 @@ def oracle_canonical_form(n: int, mask: int) -> int:
 
 def oracle_evaluate(terms: dict[int, int], mask: int) -> int:
     return sum(c for s, c in terms.items() if s & ~mask == 0)
+
+
+def n5_uniform_or_dense():
+    """Hypothesis strategy of n = 5 masks: uniform (each edge with
+    probability 1/2) or dense (the union of two uniform masks, 3/4)."""
+    uniform = st.integers(0, (1 << 25) - 1)
+    return uniform | st.tuples(uniform, uniform).map(lambda ab: ab[0] | ab[1])

@@ -10,6 +10,7 @@ from matchpoly import (
     BipartiteGraph,
     ResourceLimitError,
     TotalOrderClass,
+    _kernels,
     appendix_a_zero_test,
     bounds_report,
     bpm_truth,
@@ -21,17 +22,23 @@ from matchpoly import (
     enumerate_hall_violators,
     enumerate_mc,
     fubini,
+    has_perfect_matching,
     hvc_lower_bound_witness,
     interpolate,
     is_hvc,
+    is_matching_covered,
     pm_probability,
     primal_polynomial,
     stirling2,
     totally_ordered_count,
 )
+from matchpoly.bpm import appendix_a_zero_flags, total_order_codes
 from matchpoly.verify import run_claim
 
-from helpers import nonempty_graphs, oracle_canonical_form
+from helpers import n5_uniform_or_dense, nonempty_graphs, oracle_canonical_form
+
+# n = 5 examples build the row-profile tables on first use; keep runs repeatable
+PROPERTY = settings(deadline=None, derandomize=True)
 
 TRUTH_ONES = {1: 1, 2: 7, 3: 247, 4: 37823}
 DUAL_MONOMIALS = {2: 9, 3: 121, 4: 2721}
@@ -112,6 +119,35 @@ class TestClassification:
                 1 for g in nonempty_graphs(n)
                 if classify_total_order(g) is TotalOrderClass.STRICTLY_TOTALLY_ORDERED)
             assert count == math.factorial(n) ** 2
+
+
+def scalar_codes(n, masks):
+    order = list(TotalOrderClass)
+    return [order.index(classify_total_order(BipartiteGraph(n, m))) for m in masks]
+
+
+@st.composite
+def n5_chains(draw):
+    """Totally ordered n = 5 masks: nested rows (a column order and a degree
+    per row), strict or not, with the rows shuffled."""
+    cols = draw(st.permutations(range(5)))
+    degrees = draw(st.lists(st.integers(0, 5), min_size=5, max_size=5))
+    rows = [sum(1 << c for c in cols[:d]) for d in degrees]
+    return sum(r << (5 * i) for i, r in enumerate(rows))
+
+
+class TestTotalOrderCodes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive_small_n(self, n):
+        codes = total_order_codes(n, np.arange(1 << (n * n)))
+        assert codes.dtype == np.int8
+        assert codes.tolist() == scalar_codes(n, range(1 << (n * n)))
+
+    @given(st.lists(n5_uniform_or_dense() | n5_chains(), min_size=1, max_size=100))
+    @PROPERTY
+    def test_n5_uniform_dense_and_chains(self, masks):
+        codes = total_order_codes(5, np.array(masks, dtype=np.int64))
+        assert codes.tolist() == scalar_codes(5, masks)
 
 
 class TestDualPolynomial:
@@ -324,6 +360,41 @@ class TestAppendixA:
                 flagged += 1
                 assert table[g.mask] == 0, g
         assert flagged > 0
+
+
+def appendix_a_candidates(n, masks):
+    """The matchable masks outside MC_n: the domain of the Appendix-A test."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return masks[(_kernels.truth_table(n)[masks] != 0) & ~_kernels.mc_table(n)[masks]]
+
+
+class TestAppendixAFlags:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exhaustive_small_n(self, n):
+        masks = appendix_a_candidates(n, np.arange(1 << (n * n)))
+        flags = appendix_a_zero_flags(n, masks)
+        assert flags.dtype == bool
+        assert flags.tolist() == [appendix_a_zero_test(BipartiteGraph(n, int(m)))
+                                  for m in masks]
+
+    @given(st.lists(n5_uniform_or_dense(), min_size=1, max_size=100))
+    @PROPERTY
+    def test_n5_uniform_and_dense(self, masks):
+        graphs = [BipartiteGraph(5, m) for m in masks]
+        kept = [g for g in graphs if has_perfect_matching(g) and not is_matching_covered(g)]
+        flags = appendix_a_zero_flags(5, np.array([g.mask for g in kept], dtype=np.int64))
+        assert flags.tolist() == [appendix_a_zero_test(g) for g in kept]
+
+    @pytest.mark.parametrize("bad, message", [
+        (G(3, (1, 1), (2, 1), (3, 3)).mask, "perfect matching"),  # no matching
+        (BipartiteGraph.full(3).mask, "outside MC_n"),             # matching-covered
+    ])
+    def test_rejects_like_the_scalar_test(self, bad, message):
+        good = G(3, (1, 1), (2, 2), (3, 3), (1, 2)).mask
+        with pytest.raises(ValueError, match=message):
+            appendix_a_zero_test(BipartiteGraph(3, bad))
+        with pytest.raises(ValueError, match=message):
+            appendix_a_zero_flags(3, np.array([good, bad]))
 
 
 class TestSingleNontrivialComponent:

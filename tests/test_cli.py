@@ -248,6 +248,7 @@ class TestUsage:
     def test_n_below_1_exits_2(self, capsys, command, n):
         code, out, err = run(capsys, command[0], "--n", n, *command[1:])
         assert code == 2 and err.startswith("error:") and out == ""
+        assert f"n must be at least 1, got n={n}" in err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,8 @@ from matchpoly.bitgraph import (
     has_pm_mask,
 )
 
+from helpers import n5_uniform_or_dense
+
 # n = 5 examples build the row-profile tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
 
@@ -73,6 +75,32 @@ class TestMcFilter:
         assert not flags[0]
         expected = [is_matching_covered(BipartiteGraph(n, m)) for m in range(1, 1 << (n * n))]
         assert flags[1:].tolist() == expected
+
+
+class TestAllowedEdgeMasks:
+    """The union of all perfect matchings, edge by edge from the row-profile
+    tables, against the scalar deletion test."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive_small_n(self, n):
+        union = _kernels.allowed_edge_masks(n, np.arange(1 << (n * n)))
+        assert union.dtype == np.uint32
+        assert union.tolist() == [allowed_edges(BipartiteGraph(n, m))
+                                  for m in range(1 << (n * n))]
+
+    @given(st.lists(n5_uniform_or_dense() | n5_masks(), min_size=1, max_size=100))
+    @PROPERTY
+    def test_n5_uniform_and_dense(self, masks):
+        union = _kernels.allowed_edge_masks(5, np.array(masks, dtype=np.int64))
+        assert union.tolist() == [allowed_edges(BipartiteGraph(5, m)) for m in masks]
+
+    @given(st.lists(n5_uniform_or_dense(), min_size=1, max_size=50))
+    @PROPERTY
+    def test_mask_rows(self, masks):
+        rows = _kernels.mask_rows(5, np.array(masks, dtype=np.int64))
+        assert rows.dtype == np.uint8 and rows.shape == (len(masks), 5)
+        assert rows.tolist() == [[BipartiteGraph(5, m).row(i) for i in range(1, 6)]
+                                 for m in masks]
 
 
 class TestComponentCounts:

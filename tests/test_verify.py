@@ -1,0 +1,166 @@
+"""The verify claims on their failure paths, their frozen CLI output, and the
+array tables the lattice claim checks against the scalar join and meet."""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matchpoly import BipartiteGraph, bpm, build_lattice, join, meet, verify
+from matchpoly.bpm import TotalOrderClass, appendix_a_zero_test, classify_total_order
+from matchpoly.cli import main
+
+# sha256 of `verify --n k --claim all` stdout
+VERIFY_ALL_SHA256 = {
+    1: "17f1263684e28dfcbb91eb65ba7195ad2f58e12081ecdb0bf871ddd9b9201814",
+    2: "40ead04c55d77581f45d1dc249a694b65e6059a01ad5345e912b40f6d9633804",
+    3: "5324e04c5727181421ff63bb6de5eaf700b21cda082faea08bb14650fe7e14a9",
+    4: "5f1a2439337a7bab0b847993da0e96300d066010b47ec4c744404d0383b3e6d5",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_all_stdout_frozen(capsys, n):
+    assert main(["verify", "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[n]
+
+
+def of_class(n, cls):
+    return [m for m in range(1, 1 << (n * n))
+            if classify_total_order(BipartiteGraph(n, m)) is cls]
+
+
+def appendix_a_flagged(n, limit=50):
+    """The first ``limit`` masks the appendix_a claim tests and the scalar
+    test flags."""
+    if n <= 3:
+        candidates = range(1, 1 << (n * n))
+    else:
+        rng = np.random.default_rng(verify._APPENDIX_A_SEED)
+        candidates = np.unique(rng.integers(1, 1 << (n * n),
+                                            size=verify._APPENDIX_A_SAMPLES)).tolist()
+    truth = verify._kernels.truth_table(n)
+    mc = verify._kernels.mc_table(n)
+    return list(itertools.islice(
+        (m for m in candidates if truth[m] and not mc[m]
+         and appendix_a_zero_test(BipartiteGraph(n, m))), limit))
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """Set dense dual coefficients: corrupt({mask: value, ...})."""
+    def apply(values):
+        real = verify._dense_dual
+
+        def fake(n):
+            table = real(n).copy()
+            for mask, value in values.items():
+                table[mask] = value
+            return table
+        monkeypatch.setattr(verify, "_dense_dual", fake)
+    return apply
+
+
+class TestClaimFailures:
+    """Two corrupted coefficients: the smaller mask is the counterexample."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_thm2_strict(self, corrupt, n):
+        strict = of_class(n, TotalOrderClass.STRICTLY_TOTALLY_ORDERED)
+        small, large = strict[len(strict) // 3], strict[-2]
+        corrupt({large: 7, small: 5})
+        report = verify.run_claim("thm2_strict", n)
+        want = (-1) ** (n + 1)
+        assert not report.passed
+        assert report.counterexample == small
+        assert report.detail == f"strictly ordered graph with coefficient 5 != {want}"
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_thm2_nonordered(self, corrupt, n):
+        nonordered = of_class(n, TotalOrderClass.NOT_TOTALLY_ORDERED)
+        small, large = nonordered[len(nonordered) // 2], nonordered[-1]
+        corrupt({small: 3, large: 4})
+        report = verify.run_claim("thm2_nonordered", n)
+        assert not report.passed
+        assert report.counterexample == small
+        assert report.detail == "non-ordered graph with coefficient 3"
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_appendix_a(self, corrupt, n):
+        flagged = appendix_a_flagged(n)
+        small, large = flagged[len(flagged) // 2], flagged[-1]
+        corrupt({large: 2, small: -1})
+        report = verify.run_claim("appendix_a", n)
+        assert not report.passed
+        assert report.counterexample == small
+        assert report.detail == "flagged graph has coefficient -1"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_counting(self, monkeypatch, n):
+        real = bpm.totally_ordered_count(n)
+        monkeypatch.setattr(bpm, "totally_ordered_count", lambda k: real + 1)
+        report = verify.run_claim("counting", n)
+        assert not report.passed
+        assert report.detail == f"formula {real + 1} != exhaustive {real}"
+
+
+class TestLatticeTables:
+    def test_tables_match_scalar_join_and_meet_n3(self):
+        lat = build_lattice(3)
+        joins, meets, outside = verify._join_meet_tables(lat)
+        assert not outside.any()
+        graphs = list(lat.graphs())
+        for i, a in enumerate(graphs):
+            for j, b in enumerate(graphs):
+                assert lat.masks[joins[i, j]] == join(a, b).mask
+                assert lat.masks[meets[i, j]] == meet(a, b).mask
+
+    def test_meet_outside_the_lattice_fails(self, monkeypatch):
+        # with the bare intersection as the meet, some meets are not nodes
+        monkeypatch.setattr(verify._kernels, "allowed_edge_masks", lambda n, m: m)
+        nodes = build_lattice(3).masks.tolist()
+        first = next(a for i, a in enumerate(nodes)
+                     if any(a & b not in nodes for b in nodes[i:]))
+        report = verify.run_claim("lattice", 3)
+        assert not report.passed
+        assert report.detail == "join/meet landed outside the lattice"
+        assert report.counterexample == first
+
+
+def loop_axiom_failure(joins, meets):
+    """The lattice axioms checked one node triple at a time."""
+    size = len(joins)
+    for i in range(size):
+        if joins[i][i] != i or meets[i][i] != i:
+            return "idempotence fails", i
+        for j in range(size):
+            if joins[i][meets[i][j]] != i or meets[i][joins[i][j]] != i:
+                return "absorption fails", i
+            for k in range(size):
+                if joins[joins[i][j]][k] != joins[i][joins[j][k]]:
+                    return "join associativity fails", i
+                if meets[meets[i][j]][k] != meets[i][meets[j][k]]:
+                    return "meet associativity fails", i
+    return None
+
+
+class TestAxiomFailureOrder:
+    @given(st.data())
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    def test_matches_loop_order(self, data):
+        joins, meets, _ = verify._join_meet_tables(build_lattice(2))
+        joins, meets = joins.copy(), meets.copy()
+        size = len(joins)
+        cells = st.tuples(st.booleans(), st.integers(0, size - 1),
+                          st.integers(0, size - 1), st.integers(0, size - 1))
+        for in_joins, i, j, value in data.draw(st.lists(cells, max_size=3)):
+            (joins if in_joins else meets)[i, j] = value
+        assert verify._first_axiom_failure(joins, meets) == loop_axiom_failure(joins, meets)
+
+    def test_real_tables_pass(self):
+        joins, meets, _ = verify._join_meet_tables(build_lattice(3))
+        assert verify._first_axiom_failure(joins, meets) is None

@@ -12,8 +12,9 @@ prefix of rows and backwards (complemented) for a suffix, they decide every
 edge of a row at once, so the MC filter needs no deletion of rows or columns
 and no lookup in a full truth table.
 
-Thread counts come from the caller (CLI ``--threads`` or MATCHPOLY_THREADS);
-chunks are assembled in index order, so results never depend on scheduling.
+Thread counts come from the caller (CLI ``--threads`` or MATCHPOLY_THREADS).
+Sweeps run in windows of one chunk per thread and yield in index order, so
+results never depend on scheduling and memory stays bounded by the window.
 """
 
 from __future__ import annotations
@@ -40,31 +41,30 @@ def default_threads() -> int:
     return 1
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
-def map_chunks(fn: Callable[[int, int], object], total: int,
-               threads: int | None = None, chunk: int = 1 << CHUNK_BITS) -> list:
-    """Apply ``fn(lo, hi)`` over [0, total) in fixed chunks, results in order."""
-    ranges = _chunk_ranges(total, chunk)
-    t = threads if threads is not None else default_threads()
-    if t <= 1 or len(ranges) <= 1:
+def map_chunks(fn: Callable[[int, int], object], total: int, threads: int) -> list:
+    """Apply ``fn(lo, hi)`` over [0, total) in chunks of 2^CHUNK_BITS masks,
+    on a pool of ``threads`` threads; results in index order."""
+    chunk = 1 << CHUNK_BITS
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    if threads <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=t) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
 def _stream_chunks(fn: Callable[[int, int], object], total: int,
                    threads: int | None) -> Iterator:
-    """Yield ``fn(lo, hi)`` over [0, total) chunk by chunk, in order: lazily
-    on one thread, as an ordered :func:`map_chunks` pool map otherwise."""
-    t = threads if threads is not None else default_threads()
-    if t <= 1:
-        for lo, hi in _chunk_ranges(total, 1 << CHUNK_BITS):
-            yield fn(lo, hi)
-    else:
-        yield from map_chunks(fn, total, threads=t)
+    """Yield ``fn(lo, hi)`` over [0, total) chunk by chunk, in index order.
+
+    Each window of ``threads`` chunks is one :func:`map_chunks` call, so no
+    more than ``threads`` chunk results are held at once; ``None`` means
+    :func:`default_threads`.
+    """
+    t = max(1, default_threads() if threads is None else threads)
+    window = t << CHUNK_BITS
+    for start in range(0, total, window):
+        yield from map_chunks(lambda lo, hi: fn(start + lo, start + hi),
+                              min(window, total - start), t)
 
 
 def popcount_array(arr: np.ndarray) -> np.ndarray:

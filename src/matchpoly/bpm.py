@@ -129,14 +129,12 @@ def dual_coefficient(g: BipartiteGraph) -> int:
     require_hard("dual-coefficient", n)
     free = n * n - g.edge_count
     sign = -1 if g.edge_count % 2 == 0 else 1  # (-1)^(|E|+1)
-    total = 0
-    chunk = 1 << _kernels.CHUNK_BITS
-    for lo in range(0, 1 << free, chunk):
-        hi = min(lo + chunk, 1 << free)
+
+    def chunk_sum(lo: int, hi: int) -> int:
         _, signs = _kernels.mc_signs_for_masks(
             n, _kernels.supergraph_masks(n, g.mask, lo, hi))
-        total += int(signs.sum())
-    return sign * total
+        return int(signs.sum())
+    return sign * sum(_kernels._stream_chunks(chunk_sum, 1 << free, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,7 @@ def bounds_report(n: int, threads: int | None = None) -> BoundsReport:
     if n > 4:
         return BoundsReport(n, None, None, None, None, or_factorial, None, None)
     primal = primal_polynomial(n, threads)
-    dual = dual_polynomial(n, threads)
+    dual = dualize(primal)
     d2 = deg2(primal)
     return BoundsReport(
         n=n,

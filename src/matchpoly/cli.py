@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="matchpoly",
         description="Exact polynomial representations of bipartite perfect matching.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the dense kernels "
+                        help="worker threads for the dense kernels, at least 1 "
                              "(default: MATCHPOLY_THREADS or 1)")
     parser.add_argument("--allow-large", action="store_true",
                         help="lift the default n<=4 caps up to the hard caps (n=5)")
@@ -203,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads is None:
         args.threads = default_threads()
+    elif args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:

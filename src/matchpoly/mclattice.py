@@ -230,13 +230,9 @@ def is_wildcard_edge(g: BipartiteGraph, a: int, b: int) -> bool:
     """
     if g.has_edge(a, b):
         raise ValueError(f"({a},{b}) is an edge of the graph; wildcard edges are non-edges")
-    require_hard("umbrella", g.n)
     ebit = 1 << ((a - 1) * g.n + (b - 1))
-    base = BipartiteGraph(g.n, g.mask | ebit)
-    table = _kernels.mc_table(g.n)
-    sups = _kernels.supergraph_masks(g.n, base.mask, 0, 1 << (g.n * g.n - base.edge_count))
-    covered = sups[table[sups]]
-    return bool(np.all(table[covered ^ ebit]))
+    covered = _mc_supergraph_masks(BipartiteGraph(g.n, g.mask | ebit))
+    return bool(np.all(_kernels.mc_table(g.n)[covered ^ ebit]))
 
 
 def is_surplus_edge(g: BipartiteGraph, a: int, b: int) -> bool:

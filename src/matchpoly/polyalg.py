@@ -56,8 +56,7 @@ class TruthTable:
 
     def dual(self) -> "TruthTable":
         """Table of x -> 1 - f(1 - x): reverse the index, flip the output."""
-        full = len(self.bits) - 1
-        return TruthTable(self.n, 1 - self.bits[full ^ np.arange(len(self.bits))])
+        return TruthTable(self.n, 1 - self.bits[::-1])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruthTable) and self.n == other.n

@@ -196,6 +196,17 @@ class TestDualCoefficient:
         with pytest.raises(ValueError):
             dual_coefficient(BipartiteGraph.empty(3))
 
+    def test_many_chunks_match_dense_table_n4(self, monkeypatch):
+        table = dense_dual(4)
+        monkeypatch.setattr(_kernels, "CHUNK_BITS", 8)  # >= 2 chunks below 9 edges
+        small = np.flatnonzero((table != 0) & (_kernels.popcount_array(np.arange(1 << 16)) <= 7))
+        rng = np.random.default_rng(37)
+        sparse = [sum(1 << b for b in rng.choice(16, size=k, replace=False).tolist())
+                  for k in rng.integers(1, 8, size=40).tolist()]
+        assert len(small) == 8 + 48 + 112
+        for mask in small.tolist() + sparse:
+            assert dual_coefficient(BipartiteGraph(4, mask)) == table[mask], hex(mask)
+
 
 class TestHallViolators:
     def test_counts(self):

@@ -102,6 +102,13 @@ class TestThreads:
                          "--basis", "dual")
         assert out1 == out2
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_below_1_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", value, "count", "--n", "2", "--what", "mc"])
+        assert exc.value.code == 2
+        assert f"--threads: must be at least 1, got {value}" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_single_matching(self, capsys):

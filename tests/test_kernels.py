@@ -152,6 +152,44 @@ class TestMcSigns:
         assert np.array_equal(signs, want_signs)
 
 
+class TestChunkDriver:
+    """The window driver with 16-mask chunks: n = 3 spans 32 chunks."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "CHUNK_BITS", 4)
+
+    def test_streams_independent_of_threads(self):
+        masks = list(_kernels.stream_mc_masks(3, threads=1))
+        signs = list(_kernels.stream_mc_signs(3, threads=1))
+        assert len(masks) == len(signs) == 32
+        assert np.array_equal(np.concatenate(masks), _kernels.mc_masks(3))
+        for threads in (2, 3):
+            for got, want in zip(_kernels.stream_mc_masks(3, threads), masks, strict=True):
+                assert np.array_equal(got, want)
+            for (got_m, got_s), (want_m, want_s) in zip(
+                    _kernels.stream_mc_signs(3, threads), signs, strict=True):
+                assert np.array_equal(got_m, want_m) and np.array_equal(got_s, want_s)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_unaligned_total(self, threads):
+        want = [(lo, min(lo + 16, 100)) for lo in range(0, 100, 16)]
+        assert list(_kernels._stream_chunks(lambda lo, hi: (lo, hi), 100, threads)) == want
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_holds_at_most_threads_results(self, threads):
+        consumed = 0
+        ahead = []  # chunk index minus results consumed, as each chunk starts
+
+        def fn(lo, hi):
+            ahead.append(lo // 16 - consumed)
+            return lo
+        for _ in _kernels._stream_chunks(fn, 200, threads):
+            consumed += 1
+        assert consumed == len(ahead) == 13
+        assert max(ahead) <= threads
+
+
 class TestExhaustiveN5:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_count_mc(self, threads):

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracing import Tracer  # noqa: E402
 
+from matchpoly import _kernels  # noqa: E402
 from matchpoly.cli import main  # noqa: E402
 
 
@@ -20,3 +21,17 @@ def test_tracer_counts_mc_filter_masks(capsys):
         tracer.uninstall()
     assert capsys.readouterr().out.count("\n") == 3
     assert tracer.metrics()["kernels.mc_filter.masks"] == 16
+
+
+def test_tracer_sees_every_pool_window(capsys, monkeypatch):
+    monkeypatch.setattr(_kernels, "CHUNK_BITS", 4)  # n = 3: 32 chunks, 16 windows
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(["--threads", "2", "count", "--n", "3", "--what", "mc"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "49\n"
+    metrics = tracer.metrics()
+    assert metrics["kernels.pool.calls"] > 1
+    assert 0 < metrics["kernels.pool.busy_ratio"] <= 1

@@ -10,11 +10,13 @@ counting formulas, and the decision-tree lower bounds the polynomials imply.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .bitgraph import (
 )
 from .caps import require_domain, require_hard
 from .matchcov import is_matching_covered
-from .polyalg import MultilinearPoly, TruthTable, deg2, dualize
+from .polyalg import MultilinearPoly, TruthTable, deg2
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +55,82 @@ def primal_polynomial(n: int, threads: int | None = None) -> MultilinearPoly:
     return MultilinearPoly(n, np.concatenate(masks), np.concatenate(signs))
 
 
-def dual_polynomial(n: int, threads: int | None = None) -> MultilinearPoly:
-    """Polynomial of x -> 1 - BPM(1-x), via the superset-sum dualization."""
+def dual_polynomial(n: int) -> MultilinearPoly:
+    """Polynomial of x -> 1 - BPM(1-x), from the Ferrers orbits.
+
+    By Theorem 2 a dual coefficient vanishes off the totally ordered graphs,
+    which up to row and column permutations are the Ferrers shapes; the
+    coefficient is invariant under those permutations.  So the signed
+    family automaton runs once per shape and each nonzero shape's orbit is
+    listed.  Built-in check: the orbit sizes plus 1 (the empty graph) must
+    equal :func:`totally_ordered_count`; a mismatch raises.
+    """
     require_hard("poly-dual", n)
-    return dualize(primal_polynomial(n, threads))
+    masks, coeffs = [], []
+    total = 1  # the empty graph, coefficient 1 - BPM(K_{n,n}) = 0
+    for degrees, c in _ferrers_coefficients(n):
+        size = _orbit_size(n, degrees)
+        total += size
+        if c:
+            orbit = _ferrers_orbit(n, [(1 << d) - 1 for d in degrees])
+            if orbit.size != size:
+                raise RuntimeError(
+                    f"shape {degrees}: orbit has {orbit.size} graphs, expected {size}")
+            masks.append(orbit)
+            coeffs.append(np.full(size, c, dtype=np.int64))
+    expected = totally_ordered_count(n)
+    if total != expected:
+        raise RuntimeError(
+            f"Ferrers orbits cover {total} graphs, totally_ordered_count gives {expected}")
+    masks, coeffs = np.concatenate(masks), np.concatenate(coeffs)
+    order = np.argsort(masks)
+    return MultilinearPoly(n, masks[order], coeffs[order])
+
+
+def _ferrers_coefficients(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(degrees, dual coefficient) for every nonempty Ferrers shape: the
+    non-increasing degree sequences d_1 >= ... >= d_n, row i being columns
+    0..d_i - 1; there are C(2n, n) - 1.  The shapes are walked as a trie on
+    their row prefixes, so a shared prefix runs the automaton once."""
+    def walk(prefix: tuple[int, ...], weights: dict[int, int]):
+        if len(prefix) == n:
+            if prefix[0]:
+                yield prefix, -sum(weights.values())
+            return
+        for d in range(prefix[-1] if prefix else n, -1, -1):
+            yield from walk(prefix + (d,),
+                            _kernels.signed_family_step(n, weights, (1 << d) - 1))
+    return walk((), _kernels.FAMILY_START)
+
+
+def _orbit_size(n: int, degrees: tuple[int, ...]) -> int:
+    """n!/prod(row multiplicities)! * n!/prod(column multiplicities)!: rows
+    of equal degree are equal, and so are columns."""
+    cols = tuple(sum(d > j for d in degrees) for j in range(n))
+    size = 1
+    for seq in (degrees, cols):
+        size *= math.factorial(n) // math.prod(
+            math.factorial(seq.count(v)) for v in set(seq))
+    return size
+
+
+@lru_cache(maxsize=None)
+def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(images, shifts): images[tau, r] is row r under column permutation
+    tau, and shifts[sigma, i] = n * sigma(i) moves row i to row sigma(i)."""
+    images = np.array(_column_permutations(n), dtype=np.int64)
+    shifts = n * np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    images.flags.writeable = False
+    shifts.flags.writeable = False
+    return images, shifts
+
+
+def _ferrers_orbit(n: int, rows: list[int]) -> np.ndarray:
+    """Every graph reached from ``rows`` by permuting rows and columns,
+    ascending: one (n!, n!) array of masks, then :func:`np.unique`."""
+    images, shifts = _orbit_tables(n)
+    permuted = images[:, rows]  # (n!, n): the rows under each tau
+    return np.unique((permuted[:, None, :] << shifts[None, :, :]).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +191,17 @@ def total_order_codes(n: int, masks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dual_coefficient(g: BipartiteGraph) -> int:
-    """Exact dual coefficient of a nonempty graph, n <= 5.
+    """Exact dual coefficient of a nonempty graph S, n <= 5.
 
-    Streams the matching-covered supergraphs of g and applies the signed
-    count (-1)^(|E|+1) * sum (-1)^chi, so no dense dual polynomial is ever
-    materialized.
+    c(S) = -sum over T subseteq S of (-1)^{|S \\ T|} BPM(K_{n,n} \\ T), from
+    one run of the signed family automaton over the rows of S, so no dense
+    dual polynomial is ever materialized.
     """
     n = g.n
     if g.is_empty:
         raise ValueError("dual coefficients are defined for nonempty graphs")
     require_hard("dual-coefficient", n)
-    free = n * n - g.edge_count
-    sign = -1 if g.edge_count % 2 == 0 else 1  # (-1)^(|E|+1)
-
-    def chunk_sum(lo: int, hi: int) -> int:
-        _, signs = _kernels.mc_signs_for_masks(
-            n, _kernels.supergraph_masks(n, g.mask, lo, hi))
-        return int(signs.sum())
-    return sign * sum(_kernels._stream_chunks(chunk_sum, 1 << free, 1))
+    return -_kernels.signed_matchable_sum(n, (g.row(i) for i in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +403,7 @@ def bounds_report(n: int, threads: int | None = None) -> BoundsReport:
     if n > 4:
         return BoundsReport(n, None, None, None, None, or_factorial, None, None)
     primal = primal_polynomial(n, threads)
-    dual = dualize(primal)
+    dual = dual_polynomial(n)
     d2 = deg2(primal)
     return BoundsReport(
         n=n,
@@ -437,7 +504,6 @@ def _bits(indices: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _column_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     """For each permutation of the columns, the image of every n-bit row."""
-    import itertools
     tables = []
     for tau in itertools.permutations(range(n)):
         tables.append(tuple(sum(1 << tau[j] for j in range(n) if (r >> j) & 1)

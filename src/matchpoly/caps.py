@@ -5,13 +5,17 @@ protect against, are documented in a single place.  Library functions enforce
 the ``hard`` column; the CLI additionally keeps ``n`` at or below ``default``
 unless ``--allow-large`` is passed.  Every operation also needs ``n >= 1``.
 
-The dominant cost is always a dense buffer of ``2**(n*n)`` machine words:
+Most operations are dominated by a dense buffer of ``2**(n*n)`` machine
+words, or by a stream of that many masks:
 
     n=4 ->   65_536 entries (int64 buffer:   0.5 MiB)
     n=5 -> 33_554_432 entries (int64 buffer: 256 MiB)
 
 and lattice construction additionally materializes all matching-covered
-graphs (|MC_4| = 7_443, |MC_5| ~ 6.1e6).
+graphs (|MC_4| = 7_443, |MC_5| ~ 6.1e6).  The dual polynomial and dual
+coefficients are the exception: they run a row automaton over families of
+matchable column sets, once per Ferrers shape or once per graph, and hold
+only the terms they return.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ class Cap:
 
 CAPS: dict[str, Cap] = {
     "truth-table": Cap(4, 5, "dense 2^(n^2) byte table; n=5 -> 32 MiB"),
-    "interpolate": Cap(4, 5, "dense 2^(n^2) int64 transform buffer; n=5 -> 256 MiB"),
+    "interpolate": Cap(4, 5, "dense 2^(n^2) int64 transform buffer (interpolate, "
+                             "evaluate_all, dualize); n=5 -> 256 MiB"),
     "poly-primal": Cap(4, 5, "streams MC_n; |MC_5| ~ 6.1e6 terms (~100 MiB sparse)"),
-    "poly-dual": Cap(4, 5, "dense 2^(n^2) int64 superset-sum buffer; n=5 -> 256 MiB"),
+    "poly-dual": Cap(4, 5, "family automaton per Ferrers shape, orbits listed; "
+                           "n=5 -> 251 shapes, 95_161 terms"),
     "poly-fourier": Cap(4, 4, "dense int64 buffer plus dyadic numerators"),
-    "dual-coefficient": Cap(4, 5, "streams 2^(n^2-|E|) supergraph masks"),
+    "dual-coefficient": Cap(4, 5, "signed family automaton over the 2^|row| "
+                                  "submasks of each row"),
     "enumerate-mc": Cap(4, 5, "streams 2^(n^2) masks through the MC filter"),
     "lattice": Cap(4, 4, "materializes MC_n plus pairwise cover scans; n=4 -> 7_444 nodes"),
     "lattice-dot": Cap(3, 3, "readability cap; 50 nodes / 135 edges at n=3"),

@@ -74,7 +74,7 @@ def _cmd_poly(args) -> int:
     if args.basis == "primal":
         poly = bpm.primal_polynomial(args.n, args.threads)
     elif args.basis == "dual":
-        poly = bpm.dual_polynomial(args.n, args.threads)
+        poly = bpm.dual_polynomial(args.n)
     else:
         poly = polyalg.to_fourier(bpm.primal_polynomial(args.n, args.threads))
     if args.format == "text":
@@ -138,7 +138,7 @@ def _cmd_summary(args) -> int:
     if args.basis == "primal":
         poly = bpm.primal_polynomial(args.n, args.threads)
     else:
-        poly = bpm.dual_polynomial(args.n, args.threads)
+        poly = bpm.dual_polynomial(args.n)
     doc = {"n": args.n, "basis": args.basis, "groups": bpm.monomial_summary(poly)}
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -171,7 +171,7 @@ def _cmd_count(args) -> int:
         value = len(bpm.primal_polynomial(n, args.threads))
     elif args.what == "monomials-dual":
         caps.require("poly-dual", n, args.allow_large)
-        value = len(bpm.dual_polynomial(n, args.threads))
+        value = len(bpm.dual_polynomial(n))
     elif args.what == "totally-ordered":
         value = bpm.totally_ordered_count(n)
     else:

@@ -284,7 +284,7 @@ def dualize(p: MultilinearPoly) -> MultilinearPoly:
     The dual coefficient at S is (-1)^{|S|+1} * sum over T supseteq S of
     a_T, plus 1 on the constant term.
     """
-    require_hard("poly-dual", p.n)
+    require_hard("interpolate", p.n)
     return MultilinearPoly(p.n, *_signed_superset_sums(p, p.coeffs, 1))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Callable
 
@@ -41,10 +42,18 @@ def _report(claim: str, n: int, passed: bool, detail: str,
     return VerificationReport(claim, n, passed, detail, counterexample)
 
 
+@lru_cache(maxsize=None)
 def _dense_dual(n: int) -> np.ndarray:
-    dual = bpm.dual_polynomial(n)
+    """Read-only table of every dual coefficient, indexed by mask.
+
+    Built by :func:`polyalg.dualize` of the primal polynomial, not by
+    :func:`bpm.dual_polynomial`, which assumes Theorem 2: the claims that
+    test Theorem 2 and its consequences read this table.
+    """
+    dual = polyalg.dualize(bpm.primal_polynomial(n))
     table = np.zeros(1 << (n * n), dtype=np.int64)
     table[dual.masks] = dual.coeffs
+    table.flags.writeable = False
     return table
 
 

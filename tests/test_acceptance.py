@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import matchpoly
-from matchpoly import _kernels, verify
+from matchpoly import _kernels, bpm, verify
 from matchpoly import (
     BipartiteGraph,
     bpm_truth,
     bounds_report,
     count_mc,
     dual_polynomial,
+    dualize,
     fubini,
     interpolate,
     pm_probability,
@@ -45,6 +46,10 @@ def _clear_caches():
     _kernels.mc_masks.cache_clear()
     _kernels.chi_table.cache_clear()
     _kernels._component_automaton.cache_clear()
+    _kernels._transition_lists.cache_clear()
+    _kernels._family_step.cache_clear()
+    bpm._orbit_tables.cache_clear()
+    verify._dense_dual.cache_clear()
 
 
 def _assert_claim(name: str, n: int):
@@ -173,6 +178,7 @@ def test_large_n5_dual_pipeline():
     # not an acceptance criterion, but the n=5 dual path is a supported
     # surface (poly --n 5 --basis dual --allow-large) and deserves exercise
     dual = dual_polynomial(5)
+    assert dual == dualize(primal_polynomial(5))  # orbit route == dense route
     assert math.factorial(5) ** 2 <= len(dual) < 7 ** 12
     table = np.zeros(1 << 25, dtype=np.int64)
     table[dual.masks] = dual.coeffs

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from matchpoly import (
     count_mc,
     dual_coefficient,
     dual_polynomial,
+    dualize,
     enumerate_hall_violators,
     enumerate_mc,
     fubini,
@@ -30,8 +33,10 @@ from matchpoly import (
     pm_probability,
     primal_polynomial,
     stirling2,
+    to_text,
     totally_ordered_count,
 )
+from matchpoly import bpm
 from matchpoly.bpm import appendix_a_zero_flags, total_order_codes
 from matchpoly.verify import run_claim
 
@@ -50,10 +55,40 @@ def G(n, *edges):
 
 
 def dense_dual(n):
-    d = dual_polynomial(n)
+    """Every dual coefficient by the dense route, which does not assume
+    Theorem 2 (the orbit route of dual_polynomial does)."""
+    d = dualize(primal_polynomial(n))
     table = np.zeros(1 << (n * n), dtype=np.int64)
     table[d.masks] = d.coeffs
     return table
+
+
+def mc_superset_coefficient(g):
+    """Dual coefficient by the MC-superset signed sum: (-1)^(|E|+1) times
+    the sum of (-1)^chi over the matching-covered supergraphs of g."""
+    n, free = g.n, g.n * g.n - g.edge_count
+    _, signs = _kernels.mc_signs_for_masks(
+        n, _kernels.supergraph_masks(n, g.mask, 0, 1 << free))
+    return (-1) ** (g.edge_count + 1) * int(signs.sum())
+
+
+def submask_mobius_coefficient(n, mask):
+    """sum over T subseteq S of (-1)^{|S \\ T|} (1 - BPM(K_{n,n} \\ T)), read
+    from the truth table."""
+    bits = [b for b in range(n * n) if (mask >> b) & 1]
+    ks = np.arange(1 << len(bits), dtype=np.int64)
+    subs = np.zeros(ks.size, dtype=np.int64)
+    for pos, b in enumerate(bits):
+        subs |= ((ks >> pos) & 1) << b
+    values = 1 - _kernels.truth_table(n)[((1 << (n * n)) - 1) ^ subs].astype(np.int64)
+    signs = 1 - 2 * ((len(bits) - _kernels.popcount_array(subs)) & 1)
+    return int((signs * values).sum())
+
+
+# frozen from the dense route: `poly --n 5 --basis dual` text and histogram
+N5_DUAL_TEXT_SHA256 = "76e052c51438226b9cb82a60c53cd2c905f9a769a51146403100a5bfc92fb1d7"
+N5_DUAL_HISTOGRAM = {-4: 500, -3: 700, -2: 2400, -1: 44175, 1: 42411,
+                     2: 4800, 4: 30, 6: 120, 9: 25}
 
 
 class TestTruth:
@@ -156,8 +191,38 @@ class TestDualPolynomial:
         assert len(dual_polynomial(n)) == count
 
     def test_equals_interpolated_dual_truth(self):
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             assert dual_polynomial(n) == interpolate(bpm_truth(n).dual())
+
+    def test_equals_dualized_primal(self):
+        for n in (1, 2, 3, 4):
+            assert dual_polynomial(n) == dualize(primal_polynomial(n))
+
+    def test_n5_frozen(self):
+        d = dual_polynomial(5)
+        assert len(d) == 95_161
+        assert Counter(d.coeffs.tolist()) == N5_DUAL_HISTOGRAM
+        assert hashlib.sha256(to_text(d).encode()).hexdigest() == N5_DUAL_TEXT_SHA256
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_sizes_cover_the_totally_ordered_graphs(self, n):
+        shapes = [d for d, _ in bpm._ferrers_coefficients(n)]
+        assert len(shapes) == math.comb(2 * n, n) - 1
+        sizes = [bpm._orbit_size(n, d) for d in shapes]
+        assert sum(sizes) + 1 == totally_ordered_count(n)
+        if n <= 4:
+            orbits = [bpm._ferrers_orbit(n, [(1 << d) - 1 for d in degrees])
+                      for degrees in shapes]
+            assert [o.size for o in orbits] == sizes
+            members = np.concatenate(orbits)
+            assert np.unique(members).size == members.size
+            assert np.all(total_order_codes(n, members) != 0)
+
+    def test_orbit_count_mismatch_raises(self, monkeypatch):
+        real = totally_ordered_count(3)
+        monkeypatch.setattr(bpm, "totally_ordered_count", lambda n: real + 1)
+        with pytest.raises(RuntimeError, match="Ferrers orbits cover 230"):
+            dual_polynomial(3)
 
     def test_strictly_ordered_coefficient_n2(self):
         assert dense_dual(2)[G(2, (1, 1), (1, 2), (2, 1)).mask] == -1
@@ -196,9 +261,8 @@ class TestDualCoefficient:
         with pytest.raises(ValueError):
             dual_coefficient(BipartiteGraph.empty(3))
 
-    def test_many_chunks_match_dense_table_n4(self, monkeypatch):
+    def test_many_chunks_match_dense_table_n4(self):
         table = dense_dual(4)
-        monkeypatch.setattr(_kernels, "CHUNK_BITS", 8)  # >= 2 chunks below 9 edges
         small = np.flatnonzero((table != 0) & (_kernels.popcount_array(np.arange(1 << 16)) <= 7))
         rng = np.random.default_rng(37)
         sparse = [sum(1 << b for b in rng.choice(16, size=k, replace=False).tolist())
@@ -206,6 +270,51 @@ class TestDualCoefficient:
         assert len(small) == 8 + 48 + 112
         for mask in small.tolist() + sparse:
             assert dual_coefficient(BipartiteGraph(4, mask)) == table[mask], hex(mask)
+
+    def test_every_mask_matches_dense_table_n4(self):
+        table = dense_dual(4)
+        got = [dual_coefficient(BipartiteGraph(4, m)) for m in range(1, 1 << 16)]
+        assert np.array_equal(np.array(got), table[1:])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_mask_matches_mc_superset_sum(self, n):
+        for mask in range(1, 1 << (n * n)):
+            g = BipartiteGraph(n, mask)
+            assert dual_coefficient(g) == mc_superset_coefficient(g), hex(mask)
+
+    def test_sparse_n4_match_mc_superset_sum(self):
+        rng = np.random.default_rng(43)
+        for k in range(1, 17):
+            for _ in range(4):
+                mask = sum(1 << b for b in rng.choice(16, size=k, replace=False).tolist())
+                g = BipartiteGraph(4, mask)
+                assert dual_coefficient(g) == mc_superset_coefficient(g), hex(mask)
+
+    def test_n5_matches_submask_mobius_sum(self):
+        """Random graphs (almost all coefficient 0) and permuted Ferrers
+        shapes (the nonzero ones) with 7..16 edges."""
+        rng = np.random.default_rng(47)
+        shapes = [d for d, _ in bpm._ferrers_coefficients(5)]
+        masks = []
+        for k in range(7, 17):
+            for _ in range(4):
+                masks.append(sum(1 << b for b in rng.choice(25, size=k, replace=False).tolist()))
+            for i in rng.choice([i for i, d in enumerate(shapes) if sum(d) == k], size=3):
+                rows, cols = rng.permutation(5), rng.permutation(5)
+                masks.append(sum(1 << (5 * int(rows[r]) + int(cols[c]))
+                                 for r, d in enumerate(shapes[i]) for c in range(d)))
+        coeffs = [dual_coefficient(BipartiteGraph(5, m)) for m in masks]
+        assert coeffs == [submask_mobius_coefficient(5, m) for m in masks]
+        assert sum(c != 0 for c in coeffs) >= 10
+
+    @pytest.mark.large
+    def test_n5_matches_mc_superset_sum(self):
+        rng = np.random.default_rng(53)
+        for k in range(7, 17):
+            for _ in range(4):
+                mask = sum(1 << b for b in rng.choice(25, size=k, replace=False).tolist())
+                g = BipartiteGraph(5, mask)
+                assert dual_coefficient(g) == mc_superset_coefficient(g), hex(mask)
 
 
 class TestHallViolators:

@@ -5,17 +5,18 @@ Bit layout matches :mod:`matchpoly.bitgraph`: masks are integers whose bit
 of the dense tables below.  The tables for n <= 4 are tiny and cached; n = 5
 work (33.5M masks) is chunked so the resident set stays a few hundred MiB.
 
-One row-profile DP underlies both the perfect-matching truth table and the
-matching-covered filter.  Its level tables give, for the first k rows of a
-mask, every column set those rows can be matched onto; read forwards for a
-prefix of rows and backwards (complemented) for a suffix, they decide every
-edge of a row at once, so the MC filter needs no deletion of rows or columns
-and no lookup in a full truth table.
+One matchable-family automaton underlies every perfect-matching kernel.
+Its state after some rows is the family of column sets those rows can be
+matched onto, and a row step is one table lookup.  The dense tables are
+gathers through one array of per-prefix state codes: the row-profile
+levels, their complements and the truth table.  Read forwards for a prefix
+of rows and backwards (complemented) for a suffix, the levels decide every
+edge of a row at once, so the MC filter needs no deletion of rows or
+columns and no lookup in a full truth table.
 
-The signed matchable-family automaton at the end is the sparse
-counterpart: it reads the rows of one graph with a family of matchable
-column sets as its state, and gives a dual coefficient with no 2^(n^2)
-buffer at all.
+The signed walk at the end runs the same automaton over the rows of one
+graph with signed weights, and gives a dual coefficient with no 2^(n^2)
+buffer at all; it needs no dense table, so it also runs at n = 6.
 
 Thread counts come from the caller (CLI ``--threads`` or MATCHPOLY_THREADS).
 Sweeps run in windows of one chunk per thread and yield in index order, so
@@ -77,24 +78,72 @@ def popcount_array(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Row-profile DP and the perfect-matching truth table
+# The matchable-family automaton and the dense tables read from it
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _column_transition_table(n: int) -> np.ndarray:
-    """T[S, r] = bitset of column sets S|{c} reachable by matching one more
-    left vertex with neighbour row r."""
+def _without_column(n: int) -> tuple[int, ...]:
+    """Word c has bit S set iff column c is not in subset S."""
     size = 1 << n
-    t = np.zeros((size, size), dtype=np.uint32)
-    for s in range(size):
-        free = [c for c in range(n) if not (s >> c) & 1]
-        for r in range(size):
-            acc = 0
-            for c in free:
-                if (r >> c) & 1:
-                    acc |= 1 << (s | (1 << c))
-            t[s, r] = acc
-    return t
+    return tuple(sum(1 << s for s in range(size) if not (s >> c) & 1)
+                 for c in range(n))
+
+
+@lru_cache(maxsize=None)
+def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Row automaton of the matchable column sets: (T, words).
+
+    A state is the family of column sets that the rows read so far can be
+    matched onto, held as the 2^n-bit Python int ``words[state]`` (bit S for
+    set S); states are numbered in breadth-first order from state 0, where
+    no rows are read and only the empty set is matchable.  ``T[state, row]``
+    reads one more left vertex with neighbour row ``row``: S -> S | {c} for
+    every S in the family and every c in row \\ S.  The empty family (no
+    matching left) absorbs every row.  The families are the bases of a
+    transversal matroid, so few occur: 407 states at n = 5.
+    """
+    size = 1 << n
+    without = _without_column(n)
+    words = [1]
+    index = {1: 0}
+    trans: list[int] = []
+    for family in words:  # grows while it is read: a breadth-first search
+        # the family's sets that miss column c, each with c added
+        added = [(family & w) << (1 << c) for c, w in enumerate(without)]
+        nxt = [0] * size
+        for row in range(1, size):
+            low = row & -row
+            nxt[row] = nxt[row ^ low] | added[low.bit_length() - 1]
+        for f in nxt:
+            if f not in index:
+                index[f] = len(words)
+                words.append(f)
+            trans.append(index[f])
+    t = np.array(trans, dtype=np.min_scalar_type(len(words) - 1)).reshape(-1, size)
+    t.flags.writeable = False
+    return t, tuple(words)
+
+
+def _read_only(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+    out = tuple(arrays)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _prefix_codes(n: int) -> tuple[np.ndarray, ...]:
+    """State codes C_0 .. C_{n-1}: C_k[p] is the automaton state after the
+    rows in the low k*n bits p of a mask, so every dense table below is one
+    gather through them.  Row k is the high part of the next index, so
+    C_{k+1} is T[C_k] transposed."""
+    if n > 5:
+        raise ValueError("dense truth tables stop at n=5")
+    trans, _ = _family_automaton(n)
+    codes = [np.zeros(1, dtype=trans.dtype)]
+    for _ in range(n - 1):
+        codes.append(trans[codes[-1]].T.ravel())
+    return _read_only(codes)
 
 
 @lru_cache(maxsize=None)
@@ -106,49 +155,22 @@ def row_profile_levels(n: int) -> tuple[np.ndarray, ...]:
     k*n bits p of a mask.  The words fit a uint32 for n <= 5, where the
     levels total 4.1 MiB.
     """
-    if n > 5:
-        raise ValueError("dense truth tables stop at n=5")
-    size = 1 << n
-    trans = _column_transition_table(n)
-    levels = [np.array([1], dtype=np.uint32)]  # only the empty set reachable
-    for _ in range(n - 1):
-        level = levels[-1]
-        width = level.shape[0]
-        nxt = np.zeros(size * width, dtype=np.uint32)
-        rows = nxt.reshape(size, width)
-        for s in range(size):
-            sel = ((level >> np.uint32(s)) & np.uint32(1)).astype(bool)
-            tr = trans[s]
-            for r in range(size):
-                if tr[r]:
-                    rows[r][sel] |= tr[r]
-        nxt.flags.writeable = False
-        levels.append(nxt)
-    return tuple(levels)
+    codes = _prefix_codes(n)
+    words = np.array(_family_automaton(n)[1], dtype=np.uint32)
+    return _read_only(words[c] for c in codes)
 
 
 @lru_cache(maxsize=None)
 def truth_table(n: int) -> np.ndarray:
     """uint8 array of length 2^(n^2): 1 iff the mask's graph has a perfect
-    matching.
-
-    The last row of the row-profile DP, specialized to the single full-set
-    bit, which keeps the big level cheap.
+    matching, i.e. iff the last row steps the state of the first n - 1 rows
+    to a family holding the full set.
     """
-    size = 1 << n
-    full = size - 1
-    level = row_profile_levels(n)[-1]
-    width = level.shape[0]
-    out = np.zeros(size * width, dtype=np.uint8)
-    rows = out.reshape(size, width)
-    need_bit = [((level >> np.uint32(full ^ (1 << c))) & np.uint32(1)).astype(np.uint8)
-                for c in range(n)]
-    for r in range(size):
-        acc = np.zeros(width, dtype=np.uint8)
-        for c in range(n):
-            if (r >> c) & 1:
-                acc |= need_bit[c]
-        rows[r] = acc
+    codes = _prefix_codes(n)[-1]
+    trans, words = _family_automaton(n)
+    full = (1 << n) - 1
+    matched = np.array([(w >> full) & 1 for w in words], dtype=np.uint8)
+    out = np.take(matched[trans].T, codes, axis=1).reshape(-1)  # (last row, prefix)
     out.flags.writeable = False
     return out
 
@@ -156,14 +178,6 @@ def truth_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Matching-covered membership
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _without_column(n: int) -> tuple[np.uint32, ...]:
-    """Word c has bit S set iff column c is not in subset S."""
-    size = 1 << n
-    return tuple(np.uint32(sum(1 << s for s in range(size) if not (s >> c) & 1))
-                 for c in range(n))
-
 
 @lru_cache(maxsize=None)
 def _suffix_levels(n: int) -> tuple[np.ndarray, ...]:
@@ -175,16 +189,12 @@ def _suffix_levels(n: int) -> tuple[np.ndarray, ...]:
     the sets in L_{n-1-i}[mask >> n*(i+1)]; complementing them turns the
     edge test into a single AND.
     """
-    without = _without_column(n)
-    out = []
-    for level in row_profile_levels(n):
-        word = level
-        for c in range(n):  # S -> S ^ {c}, one butterfly per column
-            step = np.uint32(1 << c)
-            word = ((word & without[c]) << step) | ((word >> step) & without[c])
-        word.flags.writeable = False
-        out.append(word)
-    return tuple(out)
+    codes = _prefix_codes(n)
+    full = (1 << n) - 1
+    flipped = [sum(1 << (full ^ s) for s in range(full + 1) if (w >> s) & 1)
+               for w in _family_automaton(n)[1]]
+    words = np.array(flipped, dtype=np.uint32)
+    return _read_only(words[c] for c in codes)
 
 
 def _row_reach(n: int, i: int, masks: np.ndarray) -> Iterator[np.ndarray]:
@@ -375,23 +385,14 @@ def chi_table(n: int) -> np.ndarray:
 # Matching-covered masks with their primal signs
 # ---------------------------------------------------------------------------
 
-def _with_signs(n: int, mc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return mc, (1 - 2 * (chi_values(n, mc) & 1)).astype(np.int8)
-
-
-def mc_signs_for_masks(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The MC masks among ``masks``, in input order (int64), and their
-    primal coefficients (-1)^chi (int8), n <= 5."""
-    masks = np.asarray(masks, dtype=np.int64)
-    return _with_signs(n, masks[mc_flags_for_masks(n, masks)])
-
-
 def stream_mc_signs(n: int, threads: int | None = None
                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`stream_mc_masks` with the signs of :func:`mc_signs_for_masks`;
+    """:func:`stream_mc_masks` with the primal coefficients (-1)^chi (int8);
     the chunk worker runs both the filter and chi, so on the pool threads."""
-    return _stream_chunks(lambda lo, hi: _with_signs(n, _mc_chunk(n, lo, hi)),
-                          1 << (n * n), threads)
+    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        mc = _mc_chunk(n, lo, hi)
+        return mc, (1 - 2 * (chi_values(n, mc) & 1)).astype(np.int8)
+    return _stream_chunks(chunk, 1 << (n * n), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -443,54 +444,33 @@ def check_transform_headroom(values: np.ndarray) -> None:
 # Signed matchable-family automaton
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _transition_lists(n: int) -> list[list[int]]:
-    return _column_transition_table(n).tolist()
-
-
-@lru_cache(maxsize=None)
-def _family_step(n: int, family: int, row: int) -> int:
-    """One row of the matchable-family automaton.
-
-    ``family`` is a 2^n-bit word with bit S set iff the rows read so far can
-    be matched onto column set S; the result is the same word after one more
-    left vertex with neighbour row ``row``: the OR of T[S, row] over S.
-    The memo is bounded by the reachable families times the 2^n rows:
-    405 families and 12,960 entries at n = 5.
-    """
-    trans = _transition_lists(n)
-    out = 0
-    while family:
-        low = family & -family
-        out |= trans[low.bit_length() - 1][row]
-        family ^= low
-    return out
-
-
 def signed_family_step(n: int, weights: dict[int, int], s: int) -> dict[int, int]:
-    """One row S_i of the signed family automaton: every family F of
-    ``weights`` steps on the row ``full ^ T_i`` for each T_i subseteq S_i,
-    with weight (-1)^{|S_i \\ T_i|}.  The empty family (no matching left) and
-    zero weights are dropped."""
+    """One row S_i of the signed family automaton: every state of ``weights``
+    steps on the row ``full ^ T_i`` for each T_i subseteq S_i, with weight
+    (-1)^{|S_i \\ T_i|}.  The empty family (no matching left) and zero
+    weights are dropped.  After i rows |weight| <= 2^(n*i), so int64 is
+    exact for n <= 7."""
+    trans, words = _family_automaton(n)
     full = (1 << n) - 1
-    choices = []
+    rows, signs = [], []
     t = s
     while True:  # every submask t of s
-        choices.append((full ^ t, -1 if (s ^ t).bit_count() & 1 else 1))
+        rows.append(full ^ t)
+        signs.append(-1 if (s ^ t).bit_count() & 1 else 1)
         if not t:
             break
         t = (t - 1) & s
-    out: dict[int, int] = {}
-    for family, w in weights.items():
-        for row, sign in choices:
-            f = _family_step(n, family, row)
-            if f:
-                out[f] = out.get(f, 0) + sign * w
-    return {f: w for f, w in out.items() if w}
+    states = np.fromiter(weights, dtype=np.int64, count=len(weights))
+    w = np.fromiter(weights.values(), dtype=np.int64, count=len(weights))
+    out = np.zeros(len(words), dtype=np.int64)
+    np.add.at(out, trans[np.ix_(states, rows)], w[:, None] * np.array(signs))
+    out[words.index(0)] = 0
+    live = np.flatnonzero(out)
+    return dict(zip(live.tolist(), out[live].tolist()))
 
 
 # the start state: only the empty column set is matchable, with weight 1
-FAMILY_START = {1: 1}
+FAMILY_START = {0: 1}
 
 
 def signed_matchable_sum(n: int, rows: Iterable[int]) -> int:
@@ -498,10 +478,9 @@ def signed_matchable_sum(n: int, rows: Iterable[int]) -> int:
     the graph with the given rows.
 
     Each row picks its own T_i subseteq S_i, so the sum runs the family
-    automaton with signed weights (:func:`signed_family_step`).  Families
-    are the bases of a transversal matroid, so few occur.  After all n rows
-    a nonempty family holds only the full set, so the total weight left is
-    the sum.
+    automaton with signed weights (:func:`signed_family_step`).  After all n
+    rows a nonempty family holds only the full set, so the total weight left
+    is the sum.
     """
     weights = FAMILY_START
     for s in rows:

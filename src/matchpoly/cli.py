@@ -13,7 +13,7 @@ import sys
 
 from . import bpm, caps, matchcov, mclattice, polyalg, verify
 from ._kernels import default_threads
-from .bitgraph import parse_graph
+from .bitgraph import cyclomatic_number, parse_graph
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -106,7 +106,6 @@ def _cmd_classify(args) -> int:
     else:
         mc = matchcov.is_matching_covered(g)
         elem = matchcov.is_elementary(g)
-    from .bitgraph import cyclomatic_number
     chi = cyclomatic_number(g)
     fields = [
         f"n={g.n}",

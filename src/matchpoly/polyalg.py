@@ -40,13 +40,13 @@ class TruthTable:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: np.ndarray):
-        if bits.shape != (1 << (n * n),):
-            raise ValueError(f"truth table for n={n} needs 2^{n * n} bits, got {bits.shape}")
-        vals = np.asarray(bits, dtype=np.uint8)
+        vals = np.asarray(bits)
+        if vals.shape != (1 << (n * n),):
+            raise ValueError(f"truth table for n={n} needs 2^{n * n} bits, got {vals.shape}")
         if vals.size and not np.all((vals == 0) | (vals == 1)):
             raise ValueError("truth table entries must be 0 or 1")
         self.n = n
-        self.bits = _as_readonly(vals)
+        self.bits = _as_readonly(vals.astype(np.uint8, copy=False))
 
     def __getitem__(self, mask: int) -> int:
         return int(self.bits[mask])

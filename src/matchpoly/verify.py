@@ -57,10 +57,6 @@ def _dense_dual(n: int) -> np.ndarray:
     return table
 
 
-def _log3(x: int) -> float:
-    return math.log(x) / math.log(3)
-
-
 def _total_order_codes(n: int) -> np.ndarray:
     """Total-order class codes of every mask, indexed by mask."""
     return bpm.total_order_codes(n, np.arange(1 << (n * n)))
@@ -352,7 +348,7 @@ def _claim_dual_spot(n: int) -> VerificationReport:
                        f"!= {want}", little.mask)
     if bpm.dual_coefficient(little) != want:
         return _report("dual_spot", n, False,
-                       "streamed dual coefficient disagrees with the dense table",
+                       "automaton dual coefficient disagrees with the dense table",
                        little.mask)
     # permuted embeddings must agree
     reversal = tuple(range(n, 0, -1))

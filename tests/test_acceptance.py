@@ -40,14 +40,15 @@ def criterion(number: int, title: str):
 
 
 def _clear_caches():
+    _kernels._family_automaton.cache_clear()
+    _kernels._prefix_codes.cache_clear()
     _kernels.row_profile_levels.cache_clear()
+    _kernels._suffix_levels.cache_clear()
     _kernels.truth_table.cache_clear()
     _kernels.mc_table.cache_clear()
     _kernels.mc_masks.cache_clear()
     _kernels.chi_table.cache_clear()
     _kernels._component_automaton.cache_clear()
-    _kernels._transition_lists.cache_clear()
-    _kernels._family_step.cache_clear()
     bpm._orbit_tables.cache_clear()
     verify._dense_dual.cache_clear()
 

@@ -67,9 +67,9 @@ def mc_superset_coefficient(g):
     """Dual coefficient by the MC-superset signed sum: (-1)^(|E|+1) times
     the sum of (-1)^chi over the matching-covered supergraphs of g."""
     n, free = g.n, g.n * g.n - g.edge_count
-    _, signs = _kernels.mc_signs_for_masks(
-        n, _kernels.supergraph_masks(n, g.mask, 0, 1 << free))
-    return (-1) ** (g.edge_count + 1) * int(signs.sum())
+    sups = _kernels.supergraph_masks(n, g.mask, 0, 1 << free)
+    chi = _kernels.chi_values(n, sups[_kernels.mc_flags_for_masks(n, sups)])
+    return (-1) ** (g.edge_count + 1) * int((1 - 2 * (chi & 1)).sum())
 
 
 def submask_mobius_coefficient(n, mask):

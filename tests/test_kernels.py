@@ -138,18 +138,19 @@ class TestMcSigns:
     @given(st.lists(n5_masks(), min_size=1, max_size=40))
     @PROPERTY
     def test_n5_masks_match_scalar_oracle(self, masks):
-        mc, signs = _kernels.mc_signs_for_masks(5, np.array(masks, dtype=np.int64))
+        arr = np.array(masks, dtype=np.int64)
+        mc = arr[_kernels.mc_flags_for_masks(5, arr)]
         kept = [m for m in masks if oracle_mc(5, m)]
         assert mc.tolist() == kept
-        assert signs.tolist() == [(-1) ** cyclomatic_number(BipartiteGraph(5, m))
-                                  for m in kept]
+        assert ((-1) ** _kernels.chi_values(5, mc)).tolist() == [
+            (-1) ** cyclomatic_number(BipartiteGraph(5, m)) for m in kept]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stream_matches_masks_kernel(self, n):
         (mc, signs), = _kernels.stream_mc_signs(n, threads=2)
-        want_mc, want_signs = _kernels.mc_signs_for_masks(n, np.arange(1 << (n * n)))
-        assert np.array_equal(mc, want_mc)
-        assert np.array_equal(signs, want_signs)
+        assert np.array_equal(mc, _kernels.mc_masks(n))
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, (-1) ** (_kernels.chi_table(n)[mc] & 1))
 
 
 class TestChunkDriver:
@@ -235,6 +236,66 @@ class TestRowProfile:
                            for cols in itertools.permutations(range(5), 3)
                            if sum(1 << c for c in cols) == s)
             assert bool((word >> s) & 1) == expected, (hex(prefix), s)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_suffix_levels_complement_the_levels(self, n):
+        full = (1 << n) - 1
+        levels, suffix = _kernels.row_profile_levels(n), _kernels._suffix_levels(n)
+        assert len(levels) == len(suffix) == n
+        for k, (level, word) in enumerate(zip(levels, suffix)):
+            assert level.shape == word.shape == (1 << (n * k),)
+            assert level.dtype == word.dtype == np.uint32
+            assert not level.flags.writeable and not word.flags.writeable
+            for s in range(full + 1):
+                assert np.array_equal((word >> s) & 1, (level >> (full ^ s)) & 1), (k, s)
+
+    def test_dense_tables_stop_at_n5(self):
+        for table in (_kernels.row_profile_levels, _kernels._suffix_levels,
+                      _kernels.truth_table):
+            with pytest.raises(ValueError, match="stop at n=5"):
+                table(6)
+
+
+# |{masks with a perfect matching}|; n = 6 is past every dense table
+MATCHABLE_GRAPHS = {1: 1, 2: 7, 3: 247, 4: 37_823, 5: 23_191_071, 6: 54_812_742_655}
+
+
+class TestFamilyAutomaton:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_step_matches_definition(self, n):
+        trans, words = _kernels._family_automaton(n)
+        assert trans.shape == (len(words), 1 << n) and words[0] == 1
+        for state, family in enumerate(words):
+            sets = [s for s in range(1 << n) if (family >> s) & 1]
+            for row in range(1 << n):
+                want = {s | 1 << c for s in sets for c in range(n)
+                        if (row >> c) & 1 and not (s >> c) & 1}
+                assert words[trans[state, row]] == sum(1 << s for s in want)
+
+    @pytest.mark.parametrize("n", sorted(MATCHABLE_GRAPHS))
+    def test_unsigned_walk_counts_matchable_graphs(self, n):
+        trans, words = _kernels._family_automaton(n)
+        weights = {0: 1}
+        for _ in range(n):  # every row, weight 1 each
+            step: dict[int, int] = {}
+            for state, w in weights.items():
+                for nxt in trans[state].tolist():
+                    step[nxt] = step.get(nxt, 0) + w
+            weights = step
+        full = (1 << n) - 1
+        count = sum(w for state, w in weights.items() if (words[state] >> full) & 1)
+        assert count == MATCHABLE_GRAPHS[n]
+        if n <= 5:
+            assert count == int(_kernels.truth_table(n).sum())
+
+    @pytest.mark.parametrize("rows, coefficient", [
+        ((31, 31, 31, 31, 31, 0), 16),     # K_{5,5} in K_{6,6}: (n - 2)^2
+        ((63, 31, 15, 7, 3, 1), -1),       # the staircase
+        ((15, 15, 15, 0, 0, 0), 1),        # a Hall violator
+        ((3, 6, 0, 0, 0, 0), 0),           # not totally ordered
+    ])
+    def test_n6_dual_coefficients(self, rows, coefficient):
+        assert -_kernels.signed_matchable_sum(6, rows) == coefficient
 
 
 class TestSmallKernels:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from tracing import Tracer  # noqa: E402
+from tracing import COUNTERS, LAYERS, Tracer  # noqa: E402
 
 from matchpoly import _kernels  # noqa: E402
 from matchpoly.cli import main  # noqa: E402
@@ -35,3 +35,24 @@ def test_tracer_sees_every_pool_window(capsys, monkeypatch):
     metrics = tracer.metrics()
     assert metrics["kernels.pool.calls"] > 1
     assert 0 < metrics["kernels.pool.busy_ratio"] <= 1
+
+
+def test_every_counter_reads_positive(capsys):
+    """Each counted kernel runs in one small pass, so a renamed function or
+    argument that a counter reads fails here."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for argv in (["verify", "--n", "2"], ["poly", "--n", "2"],
+                     ["poly", "--n", "2", "--format", "json"]):
+            assert main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    ran = {record["name"].rsplit(":", 1)[-1] for record in tracer.span_records()}
+    assert set(COUNTERS) <= ran
+    metrics = tracer.metrics()
+    for layer, (_, _, names) in LAYERS.items():
+        for name in names:
+            for counter in COUNTERS.get(name, ((), None))[0]:
+                assert metrics[f"{layer}.{counter}"] > 0, (layer, counter)

@@ -43,9 +43,20 @@ class TestTruthTable:
         with pytest.raises(ValueError):
             TruthTable(2, np.zeros(8, dtype=np.uint8))
 
+    def test_accepts_a_list(self):
+        bits = [int(b) for b in bpm2_table().bits]
+        assert TruthTable(2, bits) == bpm2_table()
+        with pytest.raises(ValueError):
+            TruthTable(2, bits[:-1])
+
     def test_values_enforced(self):
         with pytest.raises(ValueError):
             TruthTable(1, np.array([0, 2], dtype=np.uint8))
+
+    @pytest.mark.parametrize("bits", [[0, 0.5], [0, 256], np.array([0, 257])])
+    def test_values_checked_before_the_uint8_cast(self, bits):
+        with pytest.raises(ValueError):
+            TruthTable(1, bits)
 
     def test_dual_swaps_roles(self):
         t = bpm2_table()

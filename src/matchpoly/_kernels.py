@@ -7,12 +7,10 @@ work (33.5M masks) is chunked so the resident set stays a few hundred MiB.
 
 One matchable-family automaton underlies every perfect-matching kernel.
 Its state after some rows is the family of column sets those rows can be
-matched onto, and a row step is one table lookup.  The dense tables are
-gathers through one array of per-prefix state codes: the row-profile
-levels, their complements and the truth table.  Read forwards for a prefix
-of rows and backwards (complemented) for a suffix, the levels decide every
-edge of a row at once, so the MC filter needs no deletion of rows or
-columns and no lookup in a full truth table.
+matched onto, and a row step is one table lookup.  The dense kernels are
+gathers through one array of per-prefix state codes: the truth table, and
+the MC filter, which reads the allowed edges of a row from one table
+indexed by the states of the rows before and after it.
 
 The signed walk at the end runs the same automaton over the rows of one
 graph with signed weights, and gives a dual coefficient with no 2^(n^2)
@@ -124,13 +122,6 @@ def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return t, tuple(words)
 
 
-def _read_only(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
-    out = tuple(arrays)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=None)
 def _prefix_codes(n: int) -> tuple[np.ndarray, ...]:
     """State codes C_0 .. C_{n-1}: C_k[p] is the automaton state after the
@@ -143,21 +134,9 @@ def _prefix_codes(n: int) -> tuple[np.ndarray, ...]:
     codes = [np.zeros(1, dtype=trans.dtype)]
     for _ in range(n - 1):
         codes.append(trans[codes[-1]].T.ravel())
-    return _read_only(codes)
-
-
-@lru_cache(maxsize=None)
-def row_profile_levels(n: int) -> tuple[np.ndarray, ...]:
-    """Level tables L_0 .. L_{n-1} of the row-profile DP.
-
-    L_k[p] is the set of right-vertex subsets that left vertices 1..k can be
-    matched onto, as a 2^n-bit word (bit S for subset S), indexed by the low
-    k*n bits p of a mask.  The words fit a uint32 for n <= 5, where the
-    levels total 4.1 MiB.
-    """
-    codes = _prefix_codes(n)
-    words = np.array(_family_automaton(n)[1], dtype=np.uint32)
-    return _read_only(words[c] for c in codes)
+    for c in codes:
+        c.flags.writeable = False
+    return tuple(codes)
 
 
 @lru_cache(maxsize=None)
@@ -180,59 +159,56 @@ def truth_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _suffix_levels(n: int) -> tuple[np.ndarray, ...]:
-    """The row-profile levels with every set complemented: bit S of L_k
-    becomes bit full^S.
+def _reach_table(n: int) -> np.ndarray:
+    """uint8 table R over pairs of automaton states: bit j of R[p, q] is set
+    iff some column set S of family p avoids column j and family q holds the
+    rest, full ^ (S | {j}).
+
+    With p the state of the rows before row i and q that of the rows after
+    it, bit j says that edge (i, j), present or not, lies on a perfect
+    matching of the graph with that edge added.
+    """
+    words = _family_automaton(n)[1]
+    full = (1 << n) - 1
+    flipped = np.array([sum(1 << (full ^ s) for s in range(full + 1) if (w >> s) & 1)
+                        for w in words], dtype=np.uint64)
+    # bit S | {j} for every S of the family that avoids j
+    grown = np.array([[(w & without) << (1 << j)
+                       for j, without in enumerate(_without_column(n))]
+                      for w in words], dtype=np.uint64)
+    hit = (grown[:, None, :] & flipped[None, :, None]) != 0
+    out = np.packbits(hit, axis=2, bitorder="little")[:, :, 0]
+    out.flags.writeable = False
+    return out
+
+
+def _row_reach(n: int, i: int, masks: np.ndarray) -> np.ndarray:
+    """The uint8 word of columns j for which edge (i, j), present or not,
+    lies on a perfect matching of mask + (i, j), for 0-based row i.
 
     The column sets a block of rows can be matched onto depend only on the
-    rows' neighbourhoods, so the rows after 0-based row i are matched onto
-    the sets in L_{n-1-i}[mask >> n*(i+1)]; complementing them turns the
-    edge test into a single AND.
-    """
+    rows' neighbourhoods, so the rows after i are coded like a prefix."""
     codes = _prefix_codes(n)
-    full = (1 << n) - 1
-    flipped = [sum(1 << (full ^ s) for s in range(full + 1) if (w >> s) & 1)
-               for w in _family_automaton(n)[1]]
-    words = np.array(flipped, dtype=np.uint32)
-    return _read_only(words[c] for c in codes)
-
-
-def _row_reach(n: int, i: int, masks: np.ndarray) -> Iterator[np.ndarray]:
-    """For each column j, a uint32 word that is nonzero iff edge (i, j),
-    whether present or not, lies on a perfect matching of mask + (i, j).
-
-    That holds iff some column set S that rows before 0-based row i can be
-    matched onto avoids j and the rows after i can be matched onto the rest,
-    i.e. iff bit S|{j} of the complemented suffix word is set.  Each word is
-    a fresh array the caller may modify.
-    """
-    prefix = row_profile_levels(n)[i][masks & np.uint32((1 << (n * i)) - 1)]
-    suffix = _suffix_levels(n)[n - 1 - i][masks >> np.uint32(n * (i + 1))]
-    for j, without in enumerate(_without_column(n)):
-        reach = (prefix & without) << np.uint32(1 << j)
-        reach &= suffix
-        yield reach
+    before = codes[i][masks & np.uint32((1 << (n * i)) - 1)]
+    after = codes[n - 1 - i][masks >> np.uint32(n * (i + 1))]
+    return _reach_table(n)[before, after]
 
 
 def _row_allowed(n: int, i: int, masks: np.ndarray) -> np.ndarray:
-    """True where every present edge in 0-based row i is allowed.  An absent
-    edge sets bit 0, which no shifted prefix bit reaches."""
-    absent = ~masks >> np.uint32(n * i)
-    ok = np.ones(masks.shape, dtype=bool)
-    for j, reach in enumerate(_row_reach(n, i, masks)):
-        reach |= (absent >> np.uint32(j)) & np.uint32(1)
-        ok &= reach != 0
-    return ok
+    """True where every present edge in 0-based row i is allowed."""
+    row = (masks >> np.uint32(n * i)) & np.uint32((1 << n) - 1)
+    return (row & ~_row_reach(n, i, masks)) == 0
 
 
 def mc_flags_for_masks(n: int, masks: np.ndarray) -> np.ndarray:
     """Boolean MC membership for an arbitrary vector of masks, n <= 5.
 
     MC == nonempty and every present edge is allowed (lies on a perfect
-    matching).  Edges are decided row by row from the prefix and suffix
-    row-profile tables.  The last row goes first: a nonempty last row whose
-    edges are all allowed already certifies a perfect matching, so only its
-    survivors are compressed and tested on the other rows.
+    matching).  Edges are decided row by row from the automaton states of
+    the rows before and after each row.  The last row goes first: a nonempty
+    last row whose edges are all allowed already certifies a perfect
+    matching, so only its survivors are compressed and tested on the other
+    rows.
     """
     masks = np.asarray(masks).astype(np.uint32, copy=False)
     last = n - 1
@@ -254,9 +230,8 @@ def allowed_edge_masks(n: int, masks: np.ndarray) -> np.ndarray:
     masks = np.asarray(masks).astype(np.uint32, copy=False)
     out = np.zeros(masks.shape, dtype=np.uint32)
     for i in range(n):
-        for j, reach in enumerate(_row_reach(n, i, masks)):
-            bit = np.uint32(n * i + j)
-            out |= (reach != 0).astype(np.uint32) << bit & masks
+        out |= _row_reach(n, i, masks).astype(np.uint32) << np.uint32(n * i)
+    out &= masks
     return out
 
 

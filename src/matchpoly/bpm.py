@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .bitgraph import (
+    MAX_SIDE,
     BipartiteGraph,
     connected_components,
     has_perfect_matching,
@@ -214,6 +215,8 @@ def enumerate_hall_violators(n: int) -> list[BipartiteGraph]:
     require_domain("hall-violators", n)
     if n < 2:
         raise ValueError("Hall violators need n >= 2")
+    if n > MAX_SIDE:
+        raise ValueError(f"side size must be in 1..{MAX_SIDE}, got {n}")
     masks = []
     for xs in range(1, 1 << n):
         ky = n + 1 - xs.bit_count()
@@ -391,7 +394,7 @@ class BoundsReport:
         }
 
 
-def bounds_report(n: int, threads: int | None = None) -> BoundsReport:
+def bounds_report(n: int) -> BoundsReport:
     """XOR/AND/OR decision-tree lower bounds at side size n.
 
     xor = the GF(2) degree (evasiveness number), and = log3 of the primal
@@ -402,7 +405,7 @@ def bounds_report(n: int, threads: int | None = None) -> BoundsReport:
     or_factorial = 2 * _log3(math.factorial(n))
     if n > 4:
         return BoundsReport(n, None, None, None, None, or_factorial, None, None)
-    primal = primal_polynomial(n, threads)
+    primal = primal_polynomial(n)
     dual = dual_polynomial(n)
     d2 = deg2(primal)
     return BoundsReport(

@@ -180,7 +180,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bpm.bounds_report(args.n, args.threads)
+    report = bpm.bounds_report(args.n)
     json.dump(report.to_json_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK

@@ -42,8 +42,7 @@ def criterion(number: int, title: str):
 def _clear_caches():
     _kernels._family_automaton.cache_clear()
     _kernels._prefix_codes.cache_clear()
-    _kernels.row_profile_levels.cache_clear()
-    _kernels._suffix_levels.cache_clear()
+    _kernels._reach_table.cache_clear()
     _kernels.truth_table.cache_clear()
     _kernels.mc_table.cache_clear()
     _kernels.mc_masks.cache_clear()

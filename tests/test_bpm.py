@@ -42,7 +42,7 @@ from matchpoly.verify import run_claim
 
 from helpers import n5_uniform_or_dense, nonempty_graphs, oracle_canonical_form
 
-# n = 5 examples build the row-profile tables on first use; keep runs repeatable
+# n = 5 examples build the state-code and reach tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
 
 TRUTH_ONES = {1: 1, 2: 7, 3: 247, 4: 37823}
@@ -334,6 +334,11 @@ class TestHallViolators:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             enumerate_hall_violators(1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_count_is_vandermonde(self, n):
+        # sum over |X| of C(n, |X|) C(n, n + 1 - |X|) = C(2n, n + 1)
+        assert len(enumerate_hall_violators(n)) == math.comb(2 * n, n + 1)
 
 
 class TestIsHvc:

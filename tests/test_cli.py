@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import matchpoly
 from matchpoly.cli import main
 from matchpoly.verify import golden_dual3_text
 
@@ -198,6 +204,21 @@ class TestCount:
     def test_cap(self, capsys):
         code, _, _ = run(capsys, "count", "--n", "5", "--what", "mc")
         assert code == 3
+
+    def test_hall_violators_past_max_side_exit_at_once(self):
+        # in a child process, so a scan of all 4^20 (X, Y) pairs fails the
+        # timeout instead of hanging the suite
+        src = str(Path(matchpoly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchpoly", "count", "--n", "20",
+             "--what", "hall-violators"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: side size must be in 1..8, got 20\n"
+        assert time.perf_counter() - start < 10
 
 
 class TestSummary:

@@ -1,7 +1,7 @@
 """Vector kernels against the scalar oracles of bitgraph and matchcov.
 
-The MC filter decides every edge from prefix/suffix row-profile tables; the
-scalar oracles decide each edge by deleting its two endpoints and running a
+The MC filter decides every edge from the automaton states of the rows
+before and after it, through one reach table; the scalar oracles decide each edge by deleting its two endpoints and running a
 fresh matching DP, so agreement here is not circular.
 """
 
@@ -23,7 +23,7 @@ from matchpoly.bitgraph import (
 
 from helpers import n5_uniform_or_dense
 
-# n = 5 examples build the row-profile tables on first use; keep runs repeatable
+# n = 5 examples build the state-code and reach tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
 
 
@@ -78,8 +78,8 @@ class TestMcFilter:
 
 
 class TestAllowedEdgeMasks:
-    """The union of all perfect matchings, edge by edge from the row-profile
-    tables, against the scalar deletion test."""
+    """The union of all perfect matchings, row by row from the reach table,
+    against the scalar deletion test."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_small_n(self, n):
@@ -230,28 +230,32 @@ class TestRowProfile:
     def test_levels_list_matchable_column_sets(self, prefix):
         # rows 1..3 of an n = 5 mask; bit S iff they match onto exactly S
         rows = [(prefix >> (5 * i)) & 31 for i in range(3)]
-        word = int(_kernels.row_profile_levels(5)[3][prefix])
+        words = _kernels._family_automaton(5)[1]
+        word = words[_kernels._prefix_codes(5)[3][prefix]]
         for s in range(32):
             expected = any(all((rows[i] >> cols[i]) & 1 for i in range(3))
                            for cols in itertools.permutations(range(5), 3)
                            if sum(1 << c for c in cols) == s)
             assert bool((word >> s) & 1) == expected, (hex(prefix), s)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_suffix_levels_complement_the_levels(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reach_table_matches_definition(self, n):
+        # bit j of R[p, q]: some S in family p avoids j, full ^ (S | {j}) is in q
+        words = _kernels._family_automaton(n)[1]
+        reach = _kernels._reach_table(n)
+        assert reach.shape == (len(words), len(words)) and reach.dtype == np.uint8
+        assert not reach.flags.writeable
         full = (1 << n) - 1
-        levels, suffix = _kernels.row_profile_levels(n), _kernels._suffix_levels(n)
-        assert len(levels) == len(suffix) == n
-        for k, (level, word) in enumerate(zip(levels, suffix)):
-            assert level.shape == word.shape == (1 << (n * k),)
-            assert level.dtype == word.dtype == np.uint32
-            assert not level.flags.writeable and not word.flags.writeable
-            for s in range(full + 1):
-                assert np.array_equal((word >> s) & 1, (level >> (full ^ s)) & 1), (k, s)
+        families = [{s for s in range(full + 1) if (w >> s) & 1} for w in words]
+        for p, before in enumerate(families):
+            for q, after in enumerate(families):
+                expected = sum(1 << j for j in range(n)
+                               if any(not (s >> j) & 1 and full ^ s ^ (1 << j) in after
+                                      for s in before))
+                assert reach[p, q] == expected, (p, q)
 
     def test_dense_tables_stop_at_n5(self):
-        for table in (_kernels.row_profile_levels, _kernels._suffix_levels,
-                      _kernels.truth_table):
+        for table in (_kernels._prefix_codes, _kernels.truth_table):
             with pytest.raises(ValueError, match="stop at n=5"):
                 table(6)
 

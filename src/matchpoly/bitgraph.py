@@ -247,85 +247,41 @@ def union_of_perfect_matchings(g: BipartiteGraph) -> BipartiteGraph:
 def connected_components(g: BipartiteGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Partition of all 2n vertices into components, as (lefts, rights) pairs.
 
-    Isolated vertices form singleton components.  Components are ordered by
-    their smallest vertex, left side first.
+    Each row merges every column block it meets into one block with its left
+    vertex (a zero row stays an isolated left vertex); the untouched columns
+    are isolated right vertices.  Components are ordered by their smallest
+    vertex, left side first.
     """
     n = g.n
-    rows = _rows(n, g.mask)
-    cols = [0] * n
-    for i in range(n):
-        r = rows[i]
-        for j in range(n):
-            if (r >> j) & 1:
-                cols[j] |= 1 << i
-    seen_l = [False] * n
-    seen_r = [False] * n
-    comps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for start in range(2 * n):
-        is_left = start < n
-        idx = start if is_left else start - n
-        if (seen_l[idx] if is_left else seen_r[idx]):
-            continue
-        ls: list[int] = []
-        rs: list[int] = []
-        stack = [(is_left, idx)]
-        if is_left:
-            seen_l[idx] = True
-        else:
-            seen_r[idx] = True
-        while stack:
-            left, v = stack.pop()
-            if left:
-                ls.append(v)
-                r = rows[v]
-                for j in range(n):
-                    if (r >> j) & 1 and not seen_r[j]:
-                        seen_r[j] = True
-                        stack.append((False, j))
-            else:
-                rs.append(v)
-                c = cols[v]
-                for i in range(n):
-                    if (c >> i) & 1 and not seen_l[i]:
-                        seen_l[i] = True
-                        stack.append((True, i))
-        comps.append((tuple(sorted(x + 1 for x in ls)),
-                      tuple(sorted(x + 1 for x in rs))))
-    return comps
-
-
-def component_count_mask(n: int, mask: int) -> int:
-    """Number of connected components, counting all 2n vertices."""
-    rows = _rows(n, mask)
-    iso_left = sum(1 for r in rows if r == 0)
+    blocks: list[tuple[int, int]] = []  # (left bits, right bits)
     covered = 0
-    for r in rows:
-        covered |= r
-    iso_right = n - covered.bit_count()
-    merged: list[int] = []
-    for r in rows:
-        if r == 0:
-            continue
-        group = r
+    for i, row in enumerate(_rows(n, g.mask)):
+        lefts, rights = 1 << i, row
         rest = []
-        for m in merged:
-            if m & group:
-                group |= m
+        for bl, br in blocks:
+            if br & row:
+                lefts, rights = lefts | bl, rights | br
             else:
-                rest.append(m)
-        rest.append(group)
-        merged = rest
-    return len(merged) + iso_left + iso_right
+                rest.append((bl, br))
+        blocks = rest + [(lefts, rights)]
+        covered |= row
+    blocks += [(0, 1 << j) for j in range(n) if not (covered >> j) & 1]
+
+    def members(bits: int) -> tuple[int, ...]:
+        return tuple(k + 1 for k in range(n) if (bits >> k) & 1)
+
+    comps = [(members(bl), members(br)) for bl, br in blocks]
+    return sorted(comps, key=lambda c: c[0][0] if c[0] else n + c[1][0])
 
 
 def cyclomatic_number(g: BipartiteGraph) -> int:
     """|E| - |V| + |C| with |V| fixed at 2n by the spanning convention."""
-    return g.edge_count - 2 * g.n + component_count_mask(g.n, g.mask)
+    return g.edge_count - 2 * g.n + len(connected_components(g))
 
 
 def is_connected_spanning(g: BipartiteGraph) -> bool:
     """True when the graph is a single component covering all 2n vertices."""
-    return component_count_mask(g.n, g.mask) == 1
+    return len(connected_components(g)) == 1
 
 
 def hall_violating_subset(g: BipartiteGraph):

@@ -236,38 +236,22 @@ def enumerate_hall_violators(n: int) -> list[BipartiteGraph]:
 def is_hvc(g: BipartiteGraph) -> bool:
     """Is g a union of Hall violators it contains?
 
-    Equivalent to every edge lying inside some contained violator: for edge
-    (a, b), scan the subsets Y of N(a) through b and test whether the set of
-    left vertices dominating Y is large enough to reach |X| + |Y| = n + 1.
+    For each nonempty column set Y let X(Y) be the rows containing Y.  When
+    |X(Y)| + |Y| >= n + 1 the block X(Y) x Y is a union of contained
+    violators, and every contained violator X x Y lies in its block.  So g is
+    HVC iff those blocks cover it.
     """
     if g.is_empty:
         raise ValueError("HVC membership is defined for nonempty graphs")
     n = g.n
     rows = [g.row(i) for i in range(1, n + 1)]
-    for a in range(n):
-        row = rows[a]
-        j = row
-        while j:
-            bbit = j & -j
-            # enumerate Y subseteq row with b in Y
-            rest = row ^ bbit
-            covered = False
-            ys = rest
-            while True:  # iterate submasks of rest, descending, plus bbit
-                y = ys | bbit
-                ky = y.bit_count()
-                if ky <= n:
-                    kx = sum(1 for r in rows if r & y == y)
-                    if kx + ky >= n + 1:
-                        covered = True
-                        break
-                if ys == 0:
-                    break
-                ys = (ys - 1) & rest
-            if not covered:
-                return False
-            j ^= bbit
-    return True
+    covered = 0
+    for ys in range(1, 1 << n):
+        xs = [i for i, r in enumerate(rows) if r & ys == ys]
+        if len(xs) + ys.bit_count() >= n + 1:
+            for i in xs:
+                covered |= ys << (n * i)
+    return covered == g.mask
 
 
 def hvc_lower_bound_witness(n: int) -> BipartiteGraph:

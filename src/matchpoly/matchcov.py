@@ -11,6 +11,7 @@ through it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -19,6 +20,7 @@ from .bitgraph import (
     BipartiteGraph,
     allowed_edges,
     delete_vertex_pair,
+    enumerate_perfect_matchings,
     has_pm_mask,
     has_perfect_matching,
     is_connected_spanning,
@@ -106,7 +108,8 @@ def hetyei_check(g: BipartiteGraph) -> HetyeiReport:
     covers = _minimum_vertex_covers(g)
     cond_covers = covers == {(full_right, 0), (0, full_right)}
 
-    cond_surplus = True
+    # n = 1 has no nonempty proper subset; both conditions then read "g is K_2"
+    cond_surplus = n > 1 or g.mask == 1
     rows = [g.row(i) for i in range(1, n + 1)]
     for xs in range(1, (1 << n) - 1):
         nb = 0
@@ -118,7 +121,7 @@ def hetyei_check(g: BipartiteGraph) -> HetyeiReport:
             break
 
     if n == 1:
-        cond_deleted = g.mask == 1  # the graph is literally K_2
+        cond_deleted = g.mask == 1
     else:
         cond_deleted = all(
             has_pm_mask(n - 1, delete_vertex_pair(n, g.mask, i, j))
@@ -136,9 +139,10 @@ def hetyei_check(g: BipartiteGraph) -> HetyeiReport:
 # ---------------------------------------------------------------------------
 
 Path = list[str]
+Vertex = tuple[bool, int]  # (is_left, 0-based index)
 
 
-def _vertex(n: int, label: str) -> tuple[bool, int]:
+def _vertex(n: int, label: str) -> Vertex:
     """Parse 'a3' / 'b1' into (is_left, 0-based index)."""
     if len(label) < 2 or label[0] not in "ab":
         raise ValueError(f"bad vertex label {label!r}")
@@ -152,7 +156,7 @@ def _label(is_left: bool, idx: int) -> str:
     return f"{'a' if is_left else 'b'}{idx + 1}"
 
 
-def _path_edge_bit(n: int, u: tuple[bool, int], v: tuple[bool, int]) -> int | None:
+def _path_edge_bit(n: int, u: Vertex, v: Vertex) -> int | None:
     """Bit of the edge between two vertices, None if same side."""
     if u[0] == v[0]:
         return None
@@ -208,121 +212,71 @@ def check_ear_decomposition(g: BipartiteGraph, ears: Sequence[Sequence[str]]) ->
     return acc_edges == g.mask
 
 
-def _compact_elementary(n: int, mask: int) -> bool:
-    """Elementarity of the graph induced on the vertices ``mask`` touches."""
-    if mask == 0:
-        return False
-    rows = [(mask >> (n * i)) & ((1 << n) - 1) for i in range(n)]
-    lefts = [i for i in range(n) if rows[i]]
-    rights_mask = 0
-    for r in rows:
-        rights_mask |= r
-    rights = [j for j in range(n) if (rights_mask >> j) & 1]
-    if len(lefts) != len(rights):
-        return False
-    k = len(lefts)
-    col_of = {j: c for c, j in enumerate(rights)}
-    reduced = 0
-    for r_new, i in enumerate(lefts):
-        row = rows[i]
-        for j in rights:
-            if (row >> j) & 1:
-                reduced |= 1 << (r_new * k + col_of[j])
-    return is_elementary(BipartiteGraph(k, reduced))
-
-
-def _last_ear_candidates(n: int, mask: int) -> Iterator[tuple[Path, int]]:
-    """Possible last ears of ``mask``: (path labels, remaining mask).
-
-    A removable last ear is a path whose interior vertices have degree exactly
-    2 (they vanish with it) and whose endpoints keep at least one other edge.
-    """
-    rows = [(mask >> (n * i)) & ((1 << n) - 1) for i in range(n)]
-    cols = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if (rows[i] >> j) & 1:
-                cols[j] |= 1 << i
-
-    def degree(v: tuple[bool, int]) -> int:
-        return (rows[v[1]] if v[0] else cols[v[1]]).bit_count()
-
-    def neighbors(v: tuple[bool, int]) -> list[tuple[bool, int]]:
-        bits = rows[v[1]] if v[0] else cols[v[1]]
-        return [(not v[0], j) for j in range(n) if (bits >> j) & 1]
-
-    def edge_bit(u, v) -> int:
-        left, right = (u, v) if u[0] else (v, u)
-        return left[1] * n + right[1]
-
-    verts = [(True, i) for i in range(n) if rows[i]] + \
-            [(False, j) for j in range(n) if cols[j]]
-
-    # single-edge ears: both endpoints must survive
-    for u in verts:
-        if not u[0]:
-            continue
-        for v in neighbors(u):
-            if degree(u) >= 2 and degree(v) >= 2:
-                b = edge_bit(u, v)
-                yield [_label(*u), _label(*v)], mask ^ (1 << b)
-
-    # longer ears: forced walks through degree-2 interiors
-    for s in verts:
-        if degree(s) < 2:
-            continue
-        for first in neighbors(s):
-            path = [s, first]
-            used = 1 << edge_bit(s, first)
-            prev, cur = s, first
-            while True:
-                edges_in_path = len(path) - 1
-                if edges_in_path >= 3 and edges_in_path % 2 == 1 and \
-                        cur != s and degree(cur) >= 2:
-                    yield [_label(*v) for v in path], mask & ~used
-                if degree(cur) != 2:
-                    break
-                nxt = next((w for w in neighbors(cur) if w != prev), None)
-                if nxt is None or nxt in path:
-                    break
-                used |= 1 << edge_bit(cur, nxt)
-                path.append(nxt)
-                prev, cur = cur, nxt
-
-
 def ear_decomposition(g: BipartiteGraph) -> list[Path] | None:
     """A bipartite ear decomposition of ``g``, or None if g is not elementary.
 
-    Peels candidate last ears, keeping every intermediate graph elementary on
-    its own vertex span (always possible for elementary graphs),
-    with backtracking and a failure memo.  Output order is base edge first;
-    any output is certified by :func:`check_ear_decomposition`.
+    Built forward around one perfect matching M, as in the constructive proof
+    (Lovász & Plummer, *Matching Theory*).  The base is the M-edge at a1.  An
+    unused edge joining two reached vertices is a one-edge ear; otherwise an
+    unused edge x-y leaving the reached set is followed by a breadth-first
+    search over M-alternating paths y, M(y), w, M(w), ... back to the reached
+    set.  Such a path exists because g is elementary: x-y lies in a perfect
+    matching N, and the M/N alternating cycle through it re-enters the reached
+    set, which is closed under M, through a non-M edge.  Every ear keeps the
+    reached graph elementary with M perfect on it, so nothing is undone.
+
+    Each ear raises the cyclomatic number by one, so the output has
+    ``cyclomatic_number(g) + 1`` entries, base edge first, with no redundant
+    ears; :func:`check_ear_decomposition` certifies it.
     """
     if not is_elementary(g):
         return None
     n = g.n
-    failed: set[int] = set()
+    mate: dict[Vertex, Vertex] = {}
+    for i, j in enumerate_perfect_matchings(g)[0].pairs:
+        mate[(True, i - 1)], mate[(False, j - 1)] = (False, j - 1), (True, i - 1)
 
-    def peel(mask: int) -> list[Path] | None:
-        if mask.bit_count() == 1:
-            b = mask.bit_length() - 1
-            return [[_label(True, b // n), _label(False, b % n)]]
-        if mask in failed:
-            return None
-        for path, remaining in _last_ear_candidates(n, mask):
-            if not _compact_elementary(n, remaining):
-                continue
-            rest = peel(remaining)
-            if rest is not None:
-                rest.append(path)
-                return rest
-        failed.add(mask)
-        return None
+    def neighbors(v: Vertex) -> list[Vertex]:
+        return [w for w in ((not v[0], k) for k in range(n))
+                if (g.mask >> _path_edge_bit(n, v, w)) & 1]
 
-    ears = peel(g.mask)
-    if ears is None:  # cannot happen for elementary inputs
-        raise RuntimeError(f"no ear decomposition found for elementary {g}")
-    return ears
+    def alternating_path(y: Vertex) -> list[Vertex]:
+        """y, M(y), w, M(w), ..., z with z the first reached vertex."""
+        came_from: dict[Vertex, Vertex | None] = {y: None}
+        queue = deque([y])
+        while queue:
+            u = queue.popleft()
+            for w in neighbors(mate[u]):
+                if w in reached:
+                    path = [w]
+                    while u is not None:
+                        path += [mate[u], u]
+                        u = came_from[u]
+                    return path[::-1]
+                if w not in came_from:
+                    came_from[w] = u
+                    queue.append(w)
+        raise RuntimeError(f"no alternating path back from {_label(*y)} in elementary {g}")
+
+    base = [(True, 0), mate[(True, 0)]]
+    reached = set(base)
+    used = 1 << _path_edge_bit(n, *base)
+    ears = [base]
+    while used != g.mask:
+        touching = []  # unused edges with a reached endpoint, that endpoint first
+        for b in range(n * n):
+            u, v = (True, b // n), (False, b % n)
+            if (g.mask & ~used) >> b & 1 and (u in reached or v in reached):
+                touching.append((u, v) if u in reached else (v, u))
+        if not touching:
+            raise RuntimeError(f"no unused edge touches the reached set of elementary {g}")
+        x, y = min(touching, key=lambda e: e[1] not in reached)  # one-edge ears first
+        ear = [x, y] if y in reached else [x] + alternating_path(y)
+        for u, v in zip(ear, ear[1:]):
+            used |= 1 << _path_edge_bit(n, u, v)
+        reached.update(ear)
+        ears.append(ear)
+    return [[_label(*v) for v in ear] for ear in ears]
 
 
 # ---------------------------------------------------------------------------

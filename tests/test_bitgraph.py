@@ -166,6 +166,12 @@ class TestComponents:
         assert len(comps) == 6
         assert all(len(ls) + len(rs) == 1 for ls, rs in comps)
 
+    def test_ordered_by_smallest_vertex_left_first(self):
+        assert connected_components(G(3, (3, 1), (1, 1), (2, 3))) == [
+            ((1, 3), (1,)), ((2,), (3,)), ((), (2,))]
+        assert connected_components(G(3, (3, 1), (1, 2))) == [
+            ((1,), (2,)), ((2,), ()), ((3,), (1,)), ((), (3,))]
+
     def test_partition_covers_everything(self):
         for g in graphs(3):
             comps = connected_components(g)

@@ -355,17 +355,21 @@ class TestIsHvc:
             if table[g.mask] != 0:
                 assert is_hvc(g), g
 
-    def test_hvc_matches_union_oracle_n2(self):
-        violators = [h.mask for h in enumerate_hall_violators(2)]
-        unions = set()
-        for r in range(1, 1 << len(violators)):
-            u = 0
-            for i, v in enumerate(violators):
-                if (r >> i) & 1:
-                    u |= v
-            unions.add(u)
-        for g in nonempty_graphs(2):
+    @staticmethod
+    def check_union_oracle(n, distinct):
+        unions = {0}
+        for h in enumerate_hall_violators(n):
+            unions |= {u | h.mask for u in unions}
+        unions.discard(0)
+        assert len(unions) == distinct
+        for g in nonempty_graphs(n):
             assert is_hvc(g) == (g.mask in unions), g
+
+    def test_hvc_matches_union_oracle_n2(self):
+        self.check_union_oracle(2, 9)
+
+    def test_hvc_matches_union_oracle_n3(self):
+        self.check_union_oracle(3, 148)  # 15 violators
 
 
 class TestHvcWitness:

@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from matchpoly import (
     BipartiteGraph,
     ResourceLimitError,
+    _kernels,
     check_ear_decomposition,
     connected_components,
     count_mc,
@@ -13,11 +17,24 @@ from matchpoly import (
     hetyei_check,
     is_elementary,
     is_matching_covered,
+    matchcov,
 )
 
 from helpers import graphs, nonempty_graphs, oracle_is_mc_by_subsets
 
 MC_COUNTS = {1: 1, 2: 3, 3: 49, 4: 7443}
+MC_COUNT_5 = 6092721
+# labelled elementary graphs of K_{n,n}: MC masks with one component
+ELEMENTARY_COUNTS = {1: 1, 2: 1, 3: 34, 4: 6785, 5: 5911726}
+
+
+def seeded_elementary(n, seed):
+    """The first elementary graph among seeded random half-dense masks."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = BipartiteGraph(n, sum(1 << b for b in np.flatnonzero(rng.random(n * n) < 0.5).tolist()))
+        if is_elementary(g):
+            return g
 
 
 def G(n, *edges):
@@ -88,7 +105,7 @@ class TestHetyei:
     def test_k11_all_true(self):
         assert hetyei_check(BipartiteGraph.full(1)).as_tuple() == (True,) * 5
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_five_agree_exhaustive(self, n):
         for g in graphs(n):
             report = hetyei_check(g)
@@ -117,6 +134,13 @@ class TestEarDecomposition:
     def test_non_elementary_has_none(self):
         assert ear_decomposition(G(2, (1, 1), (2, 2))) is None
         assert ear_decomposition(G(2, (1, 1), (1, 2), (2, 2))) is None
+
+    @pytest.mark.parametrize("g", [G(2, (1, 1), (1, 2), (2, 2)),  # no way back
+                                   G(2, (1, 1), (2, 2))])  # nothing touches a1-b1
+    def test_search_running_dry_raises(self, g, monkeypatch):
+        monkeypatch.setattr(matchcov, "is_elementary", lambda g: True)
+        with pytest.raises(RuntimeError):
+            matchcov.ear_decomposition(g)
 
     def test_even_length_path_rejected(self):
         g = BipartiteGraph.full(2)
@@ -160,31 +184,58 @@ class TestEarDecomposition:
                 found += 1
                 assert ears is not None
                 assert check_ear_decomposition(g, ears), g
+                assert len(ears) == cyclomatic_number(g) + 1, g
                 # edge bookkeeping: |E| = 1 + sum of ear lengths
                 assert g.edge_count == 1 + sum(len(p) - 1 for p in ears[1:])
             else:
                 assert ears is None
         assert found > 0
 
-    @pytest.mark.parametrize("g", [BipartiteGraph.full(4), BipartiteGraph.full(5)])
+    @pytest.mark.parametrize("g", [BipartiteGraph.full(4), BipartiteGraph.full(5)]
+                             + [BipartiteGraph.full(n) for n in (1, 2, 3, 6, 7, 8)]
+                             + [seeded_elementary(n, seed=n) for n in (5, 6, 7, 8)])
     def test_complete_graphs(self, g):
         ears = ear_decomposition(g)
         assert ears is not None
         assert check_ear_decomposition(g, ears)
+        assert len(ears) == cyclomatic_number(g) + 1
 
-    def test_random_elementary_n4(self):
-        rng = np.random.default_rng(29)
-        tried = 0
-        for mask in rng.integers(0, 1 << 16, size=2000).tolist():
-            g = BipartiteGraph(4, int(mask))
-            if not is_elementary(g):
-                continue
-            tried += 1
+    def test_every_elementary_n4(self):
+        masks = np.arange(1 << 16)
+        elementary = np.flatnonzero(_kernels.mc_table(4)
+                                    & (_kernels.component_counts(4, masks) == 1))
+        assert len(elementary) == ELEMENTARY_COUNTS[4]
+        for mask in elementary.tolist():
+            g = BipartiteGraph(4, mask)
             ears = ear_decomposition(g)
             assert ears is not None and check_ear_decomposition(g, ears), g
-            if tried >= 40:
-                break
-        assert tried >= 40
+            assert len(ears) == cyclomatic_number(g) + 1, g
+
+
+class TestExponentialFormula:
+    """An MC graph is a vertex-disjoint union of elementary graphs (Lovász &
+    Plummer, *Matching Theory*), so the two-sided exponential formula
+    sum |MC_n| t^n/(n!)^2 = exp(sum e_m t^m/(m!)^2) holds term by term."""
+
+    MC = {**MC_COUNTS, 5: MC_COUNT_5}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_direct_counts(self, n):
+        mc = elementary = 0
+        for block in _kernels.stream_mc_masks(n, threads=2):
+            mc += len(block)
+            elementary += int((_kernels.component_counts(n, block) == 1).sum())
+        assert (mc, elementary) == (self.MC[n], ELEMENTARY_COUNTS[n])
+
+    def test_counts_satisfy_the_identity(self):
+        e = [Fraction(0)] + [Fraction(ELEMENTARY_COUNTS[m], math.factorial(m) ** 2)
+                             for m in range(1, 6)]
+        # b = exp(e) from b' = e' b: n b_n = sum_k k e_k b_(n-k), b_0 = 1
+        b = [Fraction(1)]
+        for n in range(1, 6):
+            b.append(sum(k * e[k] * b[n - k] for k in range(1, n + 1)) / n)
+        assert [b[n] * math.factorial(n) ** 2 for n in range(1, 6)] == [
+            self.MC[n] for n in range(1, 6)]
 
 
 class TestOrderLemmas:
@@ -236,7 +287,6 @@ class TestEnumeration:
         assert streamed == direct
 
     def test_n4_lower_bound(self):
-        import math
         assert count_mc(4) >= math.factorial(4) ** 2
 
     def test_huge_requires_flag(self):

@@ -62,7 +62,6 @@ from .mclattice import (
     umbrella,
 )
 from .polyalg import (
-    DyadicPoly,
     MultilinearPoly,
     TruthTable,
     deg,
@@ -96,7 +95,7 @@ __all__ = [
     "McLattice", "build_lattice", "has_incomplete_umbrella",
     "interval_mobius_sum", "is_surplus_edge", "is_wildcard_edge", "join",
     "meet", "umbrella",
-    "DyadicPoly", "MultilinearPoly", "TruthTable", "deg", "deg2", "dualize",
+    "MultilinearPoly", "TruthTable", "deg", "deg2", "dualize",
     "evaluate", "interpolate", "l1_norm", "monomial_count", "to_fourier",
     "to_json_dict", "to_text", "to_truth_table",
     "VerificationReport",

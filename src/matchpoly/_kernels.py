@@ -16,7 +16,9 @@ The signed walk at the end runs the same automaton over the rows of one
 graph with signed weights, and gives a dual coefficient with no 2^(n^2)
 buffer at all; it needs no dense table, so it also runs at n = 6.
 
-Thread counts come from the caller (CLI ``--threads`` or MATCHPOLY_THREADS).
+Thread counts come from the caller, else from :func:`default_threads`: the
+count scoped by :func:`thread_default` (the CLI's ``--threads``), else
+MATCHPOLY_THREADS, else 1.
 Sweeps run in windows of one chunk per thread and yield in index order, so
 results never depend on scheduling and memory stays bounded by the window.
 """
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
@@ -35,7 +39,23 @@ import numpy as np
 CHUNK_BITS = 20
 
 
+_scoped_threads: ContextVar[int | None] = ContextVar("threads", default=None)
+
+
+@contextmanager
+def thread_default(threads: int) -> Iterator[None]:
+    """Make :func:`default_threads` return ``threads`` inside the block."""
+    token = _scoped_threads.set(threads)
+    try:
+        yield
+    finally:
+        _scoped_threads.reset(token)
+
+
 def default_threads() -> int:
+    scoped = _scoped_threads.get()
+    if scoped is not None:
+        return scoped
     env = os.environ.get("MATCHPOLY_THREADS", "").strip()
     if env:
         try:

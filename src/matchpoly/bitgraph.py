@@ -13,6 +13,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 MAX_SIDE = 8
 
@@ -186,27 +187,29 @@ def has_perfect_matching(g: BipartiteGraph) -> bool:
     return has_pm_mask(g.n, g.mask)
 
 
-def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
-    """All perfect matchings, ordered lexicographically by (pi(1), ..., pi(n))."""
+def iter_perfect_matchings(g: BipartiteGraph) -> Iterator[Matching]:
+    """Perfect matchings one at a time, lexicographically by (pi(1), ..., pi(n))."""
     n = g.n
     rows = _rows(n, g.mask)
-    out: list[Matching] = []
     pick: list[int] = []
 
-    def rec(i: int, used: int) -> None:
+    def rec(i: int, used: int) -> Iterator[Matching]:
         if i == n:
-            out.append(Matching(n, tuple((k + 1, pick[k] + 1) for k in range(n))))
+            yield Matching(n, tuple((k + 1, pick[k] + 1) for k in range(n)))
             return
         r = rows[i] & ~used
         while r:
             c = r & -r
-            j = c.bit_length() - 1
-            pick.append(j)
-            rec(i + 1, used | c)
+            pick.append(c.bit_length() - 1)
+            yield from rec(i + 1, used | c)
             pick.pop()
             r ^= c
-    rec(0, 0)
-    return out
+    return rec(0, 0)
+
+
+def enumerate_perfect_matchings(g: BipartiteGraph) -> list[Matching]:
+    """All perfect matchings, ordered lexicographically by (pi(1), ..., pi(n))."""
+    return list(iter_perfect_matchings(g))
 
 
 def delete_vertex_pair(n: int, mask: int, i: int, j: int) -> int:
@@ -284,6 +287,20 @@ def is_connected_spanning(g: BipartiteGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
+def left_neighborhoods(n: int, mask: int) -> list[int]:
+    """N(X) for every left set X (bit i is left vertex i+1), indexed by X.
+
+    One step per set: N(X) = N(X - low) | row(low), with low the lowest
+    vertex of X.
+    """
+    rows = _rows(n, mask)
+    nb = [0] * (1 << n)
+    for xs in range(1, 1 << n):
+        low = xs & -xs
+        nb[xs] = nb[xs ^ low] | rows[low.bit_length() - 1]
+    return nb
+
+
 def hall_violating_subset(g: BipartiteGraph):
     """A left subset X with |N(X)| < |X| if one exists, else None.
 
@@ -291,12 +308,8 @@ def hall_violating_subset(g: BipartiteGraph):
     against the matching DP.
     """
     n = g.n
-    rows = _rows(n, g.mask)
+    nb = left_neighborhoods(n, g.mask)
     for xs in range(1, 1 << n):
-        nb = 0
-        for i in range(n):
-            if (xs >> i) & 1:
-                nb |= rows[i]
-        if nb.bit_count() < xs.bit_count():
+        if nb[xs].bit_count() < xs.bit_count():
             return frozenset(i + 1 for i in range(n) if (xs >> i) & 1)
     return None

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bpm, caps, matchcov, mclattice, polyalg, verify
-from ._kernels import default_threads
+from ._kernels import default_threads, thread_default
 from .bitgraph import cyclomatic_number, parse_graph
 from .errors import ResourceLimitError
 
@@ -72,11 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_poly(args) -> int:
     caps.require(f"poly-{args.basis}", args.n, args.allow_large)
     if args.basis == "primal":
-        poly = bpm.primal_polynomial(args.n, args.threads)
+        poly = bpm.primal_polynomial(args.n)
     elif args.basis == "dual":
         poly = bpm.dual_polynomial(args.n)
     else:
-        poly = polyalg.to_fourier(bpm.primal_polynomial(args.n, args.threads))
+        poly = polyalg.to_fourier(bpm.primal_polynomial(args.n))
     if args.format == "text":
         sys.stdout.write(polyalg.to_text(poly))
     else:
@@ -135,7 +135,7 @@ def _cmd_classify(args) -> int:
 def _cmd_summary(args) -> int:
     caps.require(f"poly-{args.basis}", args.n, args.allow_large)
     if args.basis == "primal":
-        poly = bpm.primal_polynomial(args.n, args.threads)
+        poly = bpm.primal_polynomial(args.n)
     else:
         poly = bpm.dual_polynomial(args.n)
     doc = {"n": args.n, "basis": args.basis, "groups": bpm.monomial_summary(poly)}
@@ -161,13 +161,13 @@ def _cmd_count(args) -> int:
     n = args.n
     if args.what == "mc":
         caps.require("enumerate-mc", n, args.allow_large)
-        value = matchcov.count_mc(n, threads=args.threads)
+        value = matchcov.count_mc(n)
     elif args.what == "pm-graphs":
         caps.require("truth-table", n, args.allow_large)
         value = bpm.bpm_truth(n).popcount()
     elif args.what == "monomials-primal":
         caps.require("poly-primal", n, args.allow_large)
-        value = len(bpm.primal_polynomial(n, args.threads))
+        value = matchcov.count_mc(n)  # the primal has one term per MC mask
     elif args.what == "monomials-dual":
         caps.require("poly-dual", n, args.allow_large)
         value = len(bpm.dual_polynomial(n))
@@ -205,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.threads < 1:
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
-        return _COMMANDS[args.command](args)
+        with thread_default(args.threads):  # every sweep of this command reads it
+            return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

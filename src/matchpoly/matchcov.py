@@ -20,10 +20,11 @@ from .bitgraph import (
     BipartiteGraph,
     allowed_edges,
     delete_vertex_pair,
-    enumerate_perfect_matchings,
     has_pm_mask,
     has_perfect_matching,
     is_connected_spanning,
+    iter_perfect_matchings,
+    left_neighborhoods,
 )
 from .caps import require_hard
 
@@ -71,19 +72,17 @@ class HetyeiReport:
 def _minimum_vertex_covers(g: BipartiteGraph) -> set[tuple[int, int]]:
     """All minimum vertex covers as (left-set, right-set) bit pairs.
 
-    For a fixed left part X the unique minimal completion is the set of right
-    endpoints of edges X fails to cover, so scanning the 2^n left parts finds
-    every minimum cover.
+    For a fixed left part X the unique minimal completion is N(complement of
+    X), the right endpoints of edges X fails to cover, so scanning the 2^n
+    left parts finds every minimum cover.
     """
     n = g.n
-    rows = [g.row(i) for i in range(1, n + 1)]
+    full = (1 << n) - 1
+    nb = left_neighborhoods(n, g.mask)
     best = 2 * n + 1
     covers: set[tuple[int, int]] = set()
     for xs in range(1 << n):
-        needed = 0
-        for i in range(n):
-            if not (xs >> i) & 1:
-                needed |= rows[i]
+        needed = nb[full ^ xs]
         size = xs.bit_count() + needed.bit_count()
         if size < best:
             best = size
@@ -108,17 +107,10 @@ def hetyei_check(g: BipartiteGraph) -> HetyeiReport:
     covers = _minimum_vertex_covers(g)
     cond_covers = covers == {(full_right, 0), (0, full_right)}
 
+    nb = left_neighborhoods(n, g.mask)
     # n = 1 has no nonempty proper subset; both conditions then read "g is K_2"
-    cond_surplus = n > 1 or g.mask == 1
-    rows = [g.row(i) for i in range(1, n + 1)]
-    for xs in range(1, (1 << n) - 1):
-        nb = 0
-        for i in range(n):
-            if (xs >> i) & 1:
-                nb |= rows[i]
-        if nb.bit_count() < xs.bit_count() + 1:
-            cond_surplus = False
-            break
+    cond_surplus = (n > 1 or g.mask == 1) and all(
+        nb[xs].bit_count() > xs.bit_count() for xs in range(1, full_right))
 
     if n == 1:
         cond_deleted = g.mask == 1
@@ -233,7 +225,7 @@ def ear_decomposition(g: BipartiteGraph) -> list[Path] | None:
         return None
     n = g.n
     mate: dict[Vertex, Vertex] = {}
-    for i, j in enumerate_perfect_matchings(g)[0].pairs:
+    for i, j in next(iter_perfect_matchings(g)).pairs:
         mate[(True, i - 1)], mate[(False, j - 1)] = (False, j - 1), (True, i - 1)
 
     def neighbors(v: Vertex) -> list[Vertex]:

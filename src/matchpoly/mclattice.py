@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from .bitgraph import BipartiteGraph, union_of_perfect_matchings
+from .bitgraph import BipartiteGraph, left_neighborhoods, union_of_perfect_matchings
 from .caps import require_hard
 from .matchcov import is_matching_covered
 
@@ -244,16 +244,8 @@ def is_surplus_edge(g: BipartiteGraph, a: int, b: int) -> bool:
     if g.has_edge(a, b):
         raise ValueError(f"({a},{b}) is an edge of the graph; surplus edges are non-edges")
     n = g.n
-    rows = [g.row(i) for i in range(1, n + 1)]
+    nb = left_neighborhoods(n, g.mask)
     abit = 1 << (a - 1)
     bbit = 1 << (b - 1)
-    for xs in range(1 << n):
-        if not xs & abit or xs == (1 << n) - 1:
-            continue
-        nb = 0
-        for i in range(n):
-            if (xs >> i) & 1:
-                nb |= rows[i]
-        if not nb & bbit and nb.bit_count() <= xs.bit_count():
-            return False
-    return True
+    return not any(xs & abit and not nb[xs] & bbit and nb[xs].bit_count() <= xs.bit_count()
+                   for xs in range(1, (1 << n) - 1))

@@ -1,12 +1,16 @@
 """Exact sparse multilinear polynomial algebra over the n^2 edge variables.
 
-Three coefficient bases appear here:
+One type, ``MultilinearPoly``, holds all three coefficient bases:
 
-* the {0,1} basis (``MultilinearPoly``, signed integer coefficients),
-* its dual with 0 and 1 swapped (also ``MultilinearPoly``),
-* the {1,-1} basis (``DyadicPoly``): every coefficient is an integer
-  numerator over one shared power-of-two denominator, which is exact because
-  the basis change only ever divides by two.
+* the {0,1} basis (signed integer coefficients),
+* its dual with 0 and 1 swapped (also integer coefficients),
+* the {1,-1} basis: every coefficient is an integer numerator over one
+  shared power-of-two denominator 2^``shared_exponent``, which is exact
+  because the basis change only ever divides by two.
+
+The functions that read coefficients as integers (evaluation on the 0/1 cube
+and the transforms built on it, ``deg2``, ``l1_norm``) reject a positive
+exponent with ``ValueError``.
 
 Monomials are keyed by edge-set bitmask (layout of :mod:`matchpoly.bitgraph`),
 so a polynomial's term mask doubles as the mask of the graph its monomial
@@ -66,20 +70,25 @@ class TruthTable:
 
 
 class MultilinearPoly:
-    """Sparse integer-coefficient multilinear polynomial.
+    """Sparse multilinear polynomial with exact dyadic coefficients.
 
-    Stored as parallel arrays (masks ascending, coefficients nonzero); two
-    polynomials that agree as functions on the cube are identical here, which
-    is what makes term-for-term comparisons meaningful.
+    Stored as parallel arrays (masks ascending, numerators nonzero) and one
+    shared exponent k: the coefficient at ``masks[i]`` is ``coeffs[i] / 2^k``.
+    k is 0 in the {0,1} bases and is normalized so that some numerator is odd
+    (or k = 0).  Two polynomials that agree as functions on the cube are
+    identical here, which is what makes term-for-term comparisons meaningful.
     """
 
-    __slots__ = ("n", "masks", "coeffs")
+    __slots__ = ("n", "masks", "coeffs", "shared_exponent")
 
-    def __init__(self, n: int, masks: np.ndarray, coeffs: np.ndarray):
+    def __init__(self, n: int, masks: np.ndarray, coeffs: np.ndarray,
+                 shared_exponent: int = 0):
         masks = np.asarray(masks, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if masks.shape != coeffs.shape or masks.ndim != 1:
             raise ValueError("masks and coeffs must be parallel 1-d arrays")
+        if shared_exponent < 0:
+            raise ValueError("shared exponent must be nonnegative")
         if masks.size:
             if masks.min() < 0 or masks.max() >= 1 << (n * n):
                 raise ValueError("term mask outside the variable range")
@@ -87,9 +96,16 @@ class MultilinearPoly:
                 raise ValueError("term masks must be strictly ascending")
             if np.any(coeffs == 0):
                 raise ValueError("zero coefficients may not be stored")
+            if shared_exponent:  # pull common powers of two into the exponent
+                low = int(np.bitwise_or.reduce(coeffs))
+                shift = min(shared_exponent, (low & -low).bit_length() - 1)
+                coeffs, shared_exponent = coeffs >> shift, shared_exponent - shift
+        else:
+            shared_exponent = 0
         self.n = n
         self.masks = _as_readonly(masks)
         self.coeffs = _as_readonly(coeffs)
+        self.shared_exponent = shared_exponent
 
     @classmethod
     def from_terms(cls, n: int, terms: Mapping[int, int]) -> "MultilinearPoly":
@@ -108,96 +124,49 @@ class MultilinearPoly:
 
     @property
     def terms(self) -> dict[int, int]:
+        """Numerators by mask."""
         return {int(m): int(c) for m, c in zip(self.masks, self.coeffs)}
 
-    def coeff(self, mask: int) -> int:
+    def coeff(self, mask: int) -> int | Fraction:
+        """The coefficient at ``mask``: an int when the exponent is 0."""
         idx = int(np.searchsorted(self.masks, mask))
-        if idx < len(self.masks) and self.masks[idx] == mask:
-            return int(self.coeffs[idx])
-        return 0
+        c = int(self.coeffs[idx]) if idx < len(self.masks) and self.masks[idx] == mask else 0
+        return Fraction(c, 1 << self.shared_exponent) if self.shared_exponent else c
 
     def items(self) -> Iterator[tuple[int, int]]:
+        """(mask, numerator) pairs, ascending by mask."""
         for m, c in zip(self.masks, self.coeffs):
             yield int(m), int(c)
+
+    def evaluate_signs(self, negative_mask: int) -> Fraction:
+        """Exact value at the +/-1 point whose -1 coordinates are the set bits
+        of ``negative_mask``."""
+        parity = _kernels.popcount_array(self.masks & negative_mask) & 1
+        total = int(np.where(parity == 1, -self.coeffs, self.coeffs).sum())
+        return Fraction(total, 1 << self.shared_exponent)
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MultilinearPoly) and self.n == other.n
+                and self.shared_exponent == other.shared_exponent
                 and np.array_equal(self.masks, other.masks)
                 and np.array_equal(self.coeffs, other.coeffs))
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"MultilinearPoly(n={self.n}, terms={len(self)})"
+        scale = f", /2^{self.shared_exponent}" if self.shared_exponent else ""
+        return f"MultilinearPoly(n={self.n}, terms={len(self)}{scale})"
 
 
-class DyadicPoly:
-    """Multilinear polynomial whose coefficients are numerator / 2^k with one
-    shared exponent k, normalized so some numerator is odd (or k = 0)."""
-
-    __slots__ = ("n", "shared_exponent", "masks", "numerators")
-
-    def __init__(self, n: int, shared_exponent: int, masks: np.ndarray, numerators: np.ndarray):
-        masks = np.asarray(masks, dtype=np.int64)
-        numerators = np.asarray(numerators, dtype=np.int64)
-        if masks.shape != numerators.shape or masks.ndim != 1:
-            raise ValueError("masks and numerators must be parallel 1-d arrays")
-        if shared_exponent < 0:
-            raise ValueError("shared exponent must be nonnegative")
-        if masks.size:
-            if np.any(np.diff(masks) <= 0):
-                raise ValueError("term masks must be strictly ascending")
-            if np.any(numerators == 0):
-                raise ValueError("zero numerators may not be stored")
-            # pull common powers of two into the exponent
-            odd = numerators | 0
-            shift = 0
-            while shift < shared_exponent and not np.any(odd & 1):
-                odd >>= 1
-                shift += 1
-            if shift:
-                numerators = numerators >> shift
-                shared_exponent -= shift
-        else:
-            shared_exponent = 0
-        self.n = n
-        self.shared_exponent = shared_exponent
-        self.masks = _as_readonly(masks)
-        self.numerators = _as_readonly(numerators)
-
-    def coeff(self, mask: int) -> Fraction:
-        idx = int(np.searchsorted(self.masks, mask))
-        if idx < len(self.masks) and self.masks[idx] == mask:
-            return Fraction(int(self.numerators[idx]), 1 << self.shared_exponent)
-        return Fraction(0)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        for m, c in zip(self.masks, self.numerators):
-            yield int(m), int(c)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def evaluate_signs(self, negative_mask: int) -> Fraction:
-        """Exact value at the +/-1 point whose -1 coordinates are the set bits
-        of ``negative_mask``."""
-        parity = _kernels.popcount_array(self.masks & negative_mask) & 1
-        total = int(np.where(parity == 1, -self.numerators, self.numerators).sum())
-        return Fraction(total, 1 << self.shared_exponent)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, DyadicPoly) and self.n == other.n
-                and self.shared_exponent == other.shared_exponent
-                and np.array_equal(self.masks, other.masks)
-                and np.array_equal(self.numerators, other.numerators))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"DyadicPoly(n={self.n}, terms={len(self)}, /2^{self.shared_exponent})"
+def _integral(p: MultilinearPoly) -> MultilinearPoly:
+    """p itself, or ValueError when its coefficients are not integers."""
+    if p.shared_exponent:
+        raise ValueError(f"needs integer coefficients; this polynomial has a "
+                         f"denominator of 2^{p.shared_exponent}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +192,7 @@ def evaluate_all(p: MultilinearPoly) -> np.ndarray:
     """Dense vector of p's values on every 0/1 input, by subset-sum."""
     require_hard("interpolate", p.n)
     buf = np.zeros(1 << p.nvars, dtype=np.int64)
-    buf[p.masks] = p.coeffs
+    buf[p.masks] = _integral(p).coeffs
     _kernels.check_transform_headroom(buf)
     _kernels.zeta_transform(buf, p.nvars)
     return buf
@@ -250,7 +219,7 @@ def evaluate(p: MultilinearPoly, g: BipartiteGraph | int) -> int:
     if isinstance(g, BipartiteGraph) and g.n != p.n:
         raise ValueError(f"graph has n={g.n}, polynomial has n={p.n}")
     inside = (p.masks & ~mask) == 0
-    return int(p.coeffs[inside].sum())
+    return int(_integral(p).coeffs[inside].sum())
 
 
 def _signed_superset_sums(p: MultilinearPoly, weights: np.ndarray,
@@ -288,7 +257,7 @@ def dualize(p: MultilinearPoly) -> MultilinearPoly:
     return MultilinearPoly(p.n, *_signed_superset_sums(p, p.coeffs, 1))
 
 
-def to_fourier(p: MultilinearPoly) -> DyadicPoly:
+def to_fourier(p: MultilinearPoly) -> MultilinearPoly:
     """Fourier expansion of the Boolean function represented by ``p``.
 
     In the {1,-1} basis with 1 encoding False, the coefficient at S is
@@ -299,8 +268,8 @@ def to_fourier(p: MultilinearPoly) -> DyadicPoly:
     require_hard("poly-fourier", p.n)
     nvars = p.nvars
     weights = p.coeffs << (nvars - _kernels.popcount_array(p.masks))
-    return DyadicPoly(p.n, nvars - 1,
-                      *_signed_superset_sums(p, weights, 1 << (nvars - 1)))
+    return MultilinearPoly(p.n, *_signed_superset_sums(p, weights, 1 << (nvars - 1)),
+                           shared_exponent=nvars - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +289,7 @@ def deg2(p: MultilinearPoly) -> int | None:
     Reducing the integer coefficients mod 2 gives the GF(2) representation,
     so only parity matters.  None when every coefficient is even.
     """
-    odd = (p.coeffs & 1) == 1
+    odd = (_integral(p).coeffs & 1) == 1
     if not np.any(odd):
         return None
     return int(_kernels.popcount_array(p.masks[odd]).max())
@@ -331,7 +300,7 @@ def monomial_count(p: MultilinearPoly) -> int:
 
 
 def l1_norm(p: MultilinearPoly) -> int:
-    return int(np.abs(p.coeffs).sum()) if len(p) else 0
+    return int(np.abs(_integral(p).coeffs).sum()) if len(p) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +334,18 @@ def _text_order(masks: np.ndarray) -> np.ndarray:
     return np.lexsort((masks, degrees))
 
 
-def to_text(p: MultilinearPoly | DyadicPoly) -> str:
+def to_text(p: MultilinearPoly) -> str:
     """One term per line, sorted by (degree, mask); coefficient magnitude 1 is
-    left implicit, dyadic coefficients print as reduced fractions."""
+    left implicit, other coefficients print as reduced fractions."""
     if not len(p):
         return "0\n"
-    dyadic = isinstance(p, DyadicPoly)
+    den = 1 << p.shared_exponent
     lines = []
     order = _text_order(p.masks)
-    values = (p.numerators if dyadic else p.coeffs)[order].tolist()
-    for mask, c in zip(p.masks[order].tolist(), values):
-        if dyadic:
-            frac = Fraction(c, 1 << p.shared_exponent)
-            sign = "-" if frac < 0 else "+"
-            mag = abs(frac)
-            coeff_str = "" if mag == 1 else (
-                str(mag.numerator) if mag.denominator == 1
-                else f"{mag.numerator}/{mag.denominator}")
-        else:
-            sign = "-" if c < 0 else "+"
-            coeff_str = "" if abs(c) == 1 else str(abs(c))
+    for mask, c in zip(p.masks[order].tolist(), p.coeffs[order].tolist()):
+        sign = "-" if c < 0 else "+"
+        mag = abs(c) if den == 1 else Fraction(abs(c), den)
+        coeff_str = "" if mag == 1 else str(mag)
         vars_str = _term_vars(p.n, mask)
         if not mask:
             body = coeff_str or "1"
@@ -396,16 +357,14 @@ def to_text(p: MultilinearPoly | DyadicPoly) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(p: MultilinearPoly | DyadicPoly, basis: str) -> dict:
+def to_json_dict(p: MultilinearPoly, basis: str) -> dict:
     """JSON-ready document; terms ascending by mask.  Fourier documents carry
-    the shared exponent and integer numerators at that scale."""
+    the shared exponent, and each ``coeff`` is the integer numerator at that
+    scale."""
     n = p.n
     doc: dict = {"n": n, "basis": basis}
-    if isinstance(p, DyadicPoly):
+    if basis == "fourier":
         doc["shared_exponent"] = p.shared_exponent
-        values = p.numerators
-    else:
-        values = p.coeffs
     full = (1 << n) - 1
     # [i, j] lists made once per document and shared by its terms
     rows = [[[list(e) for e in edges] for edges in row] for row in _row_edges(n)]
@@ -415,6 +374,6 @@ def to_json_dict(p: MultilinearPoly | DyadicPoly, basis: str) -> dict:
             "edges": [e for i in range(n) for e in rows[i][(m >> (n * i)) & full]],
             "coeff": c,
         }
-        for m, c in zip(p.masks.tolist(), values.tolist())
+        for m, c in zip(p.masks.tolist(), p.coeffs.tolist())
     ]
     return doc

@@ -1,3 +1,5 @@
+from itertools import islice, permutations
+
 import pytest
 
 from matchpoly import (
@@ -10,7 +12,7 @@ from matchpoly import (
     parse_graph,
     union_of_perfect_matchings,
 )
-from matchpoly.bitgraph import hall_violating_subset
+from matchpoly.bitgraph import hall_violating_subset, iter_perfect_matchings, left_neighborhoods
 
 from helpers import graphs, oracle_chi, oracle_has_pm, oracle_pm_union
 
@@ -112,6 +114,23 @@ class TestEnumerateMatchings:
     def test_consistent_with_existence(self):
         for g in graphs(3):
             assert has_perfect_matching(g) == bool(enumerate_perfect_matchings(g))
+
+    def test_lazy_search_in_lexicographic_order(self):
+        first = islice(iter_perfect_matchings(BipartiteGraph.full(8)), 3)
+        assert [tuple(j for _, j in m.pairs) for m in first] == list(
+            islice(permutations(range(1, 9)), 3))
+
+
+class TestLeftNeighborhoods:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_union_of_rows_exhaustive(self, n):
+        for g in graphs(n):
+            want = [0] * (1 << n)
+            for xs in range(1 << n):
+                for i in range(1, n + 1):
+                    if (xs >> (i - 1)) & 1:
+                        want[xs] |= g.row(i)
+            assert left_neighborhoods(n, g.mask) == want, g
 
 
 class TestAllowedEdges:

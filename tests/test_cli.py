@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchpoly
+from matchpoly import _kernels
 from matchpoly.cli import main
 from matchpoly.verify import golden_dual3_text
 
@@ -59,6 +61,20 @@ class TestPoly:
                          "--basis", "fourier")
         assert code == 3
 
+    @pytest.mark.parametrize("n,fmt,digest", [
+        (1, "text", "1601efd301f1cc5e0259f6e63742ddac51fa25884d28d4cacecb7cf55e0d477b"),
+        (1, "json", "b325d4ee18f7289e28dd1cdc8260979f3e06b4357ca1c7a83a287e0d5f2f0982"),
+        (2, "text", "dc4c64792b1ec7faf7f5211d090635b782686e9941a4210aadb9cefde41adb2a"),
+        (2, "json", "5d83fc8afbfe8548b31c220535efaed3bef4b67603e99dd474c795527dfc0506"),
+        (3, "text", "c769a3fa7aa21cb62de345f07c6a4d4855234392969bee4bcefc08ac42ad9917"),
+        (3, "json", "5f84362cfd40203108aec3ce04b8014f8c7fa7ec989762a3ca87cb50b5cf835f"),
+    ])
+    def test_fourier_output_frozen(self, capsys, n, fmt, digest):
+        code, out, _ = run(capsys, "poly", "--n", str(n), "--basis", "fourier",
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "poly", "--n", "3", "--basis", "dual")
         _, out2, _ = run(capsys, "poly", "--n", "3", "--basis", "dual")
@@ -107,6 +123,22 @@ class TestThreads:
         _, out2, _ = run(capsys, "--threads", "1", "poly", "--n", "3",
                          "--basis", "dual")
         assert out1 == out2
+
+    def test_flag_reaches_every_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(_kernels, "CHUNK_BITS", 4)  # n = 3: 32 chunks
+        monkeypatch.delenv("MATCHPOLY_THREADS", raising=False)
+        seen = []
+        map_chunks = _kernels.map_chunks
+
+        def spy(fn, total, threads):
+            seen.append(threads)
+            return map_chunks(fn, total, threads)
+        monkeypatch.setattr(_kernels, "map_chunks", spy)
+        code, out, _ = run(capsys, "--threads", "2", "verify", "--n", "3",
+                           "--claim", "thm1")
+        assert code == 0 and "PASS" in out
+        assert len(seen) == 16 and set(seen) == {2}
+        assert _kernels.default_threads() == 1  # scoped to the command
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_below_1_exits_2(self, capsys, value):
@@ -204,6 +236,12 @@ class TestCount:
     def test_cap(self, capsys):
         code, _, _ = run(capsys, "count", "--n", "5", "--what", "mc")
         assert code == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_primal_monomials_are_mc_masks(self, capsys, n):
+        _, mc, _ = run(capsys, "count", "--n", str(n), "--what", "mc")
+        _, primal, _ = run(capsys, "count", "--n", str(n), "--what", "monomials-primal")
+        assert primal == mc == f"{len(matchpoly.primal_polynomial(n))}\n"
 
     def test_hall_violators_past_max_side_exit_at_once(self):
         # in a child process, so a scan of all 4^20 (X, Y) pairs fails the

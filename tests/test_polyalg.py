@@ -21,6 +21,8 @@ from matchpoly import (
     to_truth_table,
 )
 
+from matchpoly.polyalg import evaluate_all
+
 from helpers import oracle_evaluate, oracle_has_pm
 
 BPM2_TERMS = {0b1001: 1, 0b0110: 1, 0b1111: -1}
@@ -302,6 +304,62 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultilinearPoly(2, np.array([16]), np.array([1]))
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 20])
+    @pytest.mark.parametrize("mask", [-1, 16, 1 << 20])
+    def test_out_of_range_mask_rejected_at_every_exponent(self, k, mask):
+        with pytest.raises(ValueError, match="outside the variable range"):
+            MultilinearPoly(2, np.array([mask]), np.array([1]), k)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            MultilinearPoly(2, np.array([1]), np.array([1]), -1)
+
+
     def test_from_terms_drops_zeros(self):
         p = MultilinearPoly.from_terms(2, {1: 0, 2: 5})
         assert p.terms == {2: 5}
+
+
+class TestSharedExponent:
+    def test_common_powers_of_two_move_into_the_exponent(self):
+        p = MultilinearPoly(2, np.array([1, 2]), np.array([4, -12]), 3)
+        assert p.shared_exponent == 1
+        assert p.coeffs.tolist() == [1, -3]
+        assert p.coeff(2) == Fraction(-3, 2)
+
+    def test_exponent_stops_at_zero(self):
+        p = MultilinearPoly(2, np.array([1, 2]), np.array([8, 24]), 2)
+        assert p.shared_exponent == 0
+        assert p.coeffs.tolist() == [2, 6]
+        assert p == MultilinearPoly.from_terms(2, {1: 2, 2: 6})
+
+    def test_integer_coefficients_stay_unscaled(self):
+        p = MultilinearPoly.from_terms(2, {1: 4, 2: 8})
+        assert p.shared_exponent == 0 and p.coeffs.tolist() == [4, 8]
+
+    def test_zero_polynomial_has_exponent_0(self):
+        p = MultilinearPoly(2, np.empty(0), np.empty(0), 5)
+        assert p.shared_exponent == 0 and p == MultilinearPoly.zero(2)
+
+    def test_coeff_type_follows_the_exponent(self):
+        p = MultilinearPoly.from_terms(2, BPM2_TERMS)
+        assert type(p.coeff(0b1001)) is int and type(p.coeff(0)) is int
+        f = to_fourier(p)
+        assert type(f) is MultilinearPoly and f.shared_exponent == 3
+        assert f.coeff(0) == Fraction(1, 8) and f.coeff(0b0001) == Fraction(3, 8)
+        absent = MultilinearPoly(2, np.array([1]), np.array([3]), 2).coeff(2)
+        assert type(absent) is Fraction and absent == 0
+
+    def test_equality_reads_the_exponent(self):
+        a = MultilinearPoly(2, np.array([1]), np.array([1]), 1)
+        b = MultilinearPoly(2, np.array([1]), np.array([1]))
+        assert a != b and a == MultilinearPoly(2, np.array([1]), np.array([2]), 2)
+
+    @pytest.mark.parametrize("fn", [evaluate_all, dualize, to_fourier, to_truth_table,
+                                    lambda p: evaluate(p, 0b1111), deg2, l1_norm],
+                             ids=["evaluate_all", "dualize", "to_fourier", "to_truth_table",
+                                  "evaluate", "deg2", "l1_norm"])
+    def test_integer_only_functions_reject_fourier(self, fn):
+        f = to_fourier(MultilinearPoly.from_terms(2, BPM2_TERMS))
+        with pytest.raises(ValueError, match="integer coefficients"):
+            fn(f)

@@ -5,16 +5,19 @@ Bit layout matches :mod:`matchpoly.bitgraph`: masks are integers whose bit
 of the dense tables below.  The tables for n <= 4 are tiny and cached; n = 5
 work (33.5M masks) is chunked so the resident set stays a few hundred MiB.
 
-One matchable-family automaton underlies every perfect-matching kernel.
-Its state after some rows is the family of column sets those rows can be
-matched onto, and a row step is one table lookup.  The dense kernels are
-gathers through one array of per-prefix state codes: the truth table, and
-the MC filter, which reads the allowed edges of a row from one table
-indexed by the states of the rows before and after it.
+Two row automata come from one breadth-first builder: a state sums up
+the rows read so far, and a row step is one lookup in T[state, row].  The
+matchable-family automaton's state is the family of column sets those
+rows can be matched onto; the component automaton's is the partition of
+the columns they touch, plus the count of zero rows.  A dense kernel is
+one gather through an automaton's per-prefix state codes: the truth
+table, the MC filter (through one table over the family states of the
+rows before and after each row) and the component counts behind chi.
 
-The signed walk at the end runs the same automaton over the rows of one
-graph with signed weights, and gives a dual coefficient with no 2^(n^2)
-buffer at all; it needs no dense table, so it also runs at n = 6.
+The signed walk at the end steps (state, weight) arrays of the family
+automaton over the rows of one graph, and gives a dual coefficient with
+no 2^(n^2) buffer at all; it needs no dense table, so it also runs at
+n = 6 and 7.
 
 Thread counts come from the caller, else from :func:`default_threads`: the
 count scoped by :func:`thread_default` (the CLI's ``--threads``), else
@@ -96,15 +99,40 @@ def popcount_array(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The matchable-family automaton and the dense tables read from it
+# Row automata and the prefix codes read from them
 # ---------------------------------------------------------------------------
+
+def _row_automaton(n: int, start, successors: Callable) -> tuple[np.ndarray, tuple]:
+    """Breadth-first row automaton from ``start``: (T, states).
+
+    ``successors(state)`` lists the state after each of the 2^n rows, and
+    states are numbered in the order the search meets them, so ``start`` is
+    state 0.  ``T[state, row]`` is a read-only table of the smallest
+    unsigned dtype that holds every state number.
+    """
+    states = [start]
+    index = {start: 0}
+    trans: list[int] = []
+    for state in states:  # grows while it is read: a breadth-first search
+        for nxt in successors(state):
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            trans.append(index[nxt])
+    t = np.array(trans, dtype=np.min_scalar_type(len(states) - 1)).reshape(-1, 1 << n)
+    t.flags.writeable = False
+    return t, tuple(states)
+
 
 @lru_cache(maxsize=None)
 def _without_column(n: int) -> tuple[int, ...]:
     """Word c has bit S set iff column c is not in subset S."""
-    size = 1 << n
-    return tuple(sum(1 << s for s in range(size) if not (s >> c) & 1)
-                 for c in range(n))
+    return tuple(sum(1 << s for s in range(1 << n) if not (s >> c) & 1) for c in range(n))
+
+
+def _grown(n: int, family: int) -> list[int]:
+    """Word c has bit S | {c} for every set S of ``family`` that misses c."""
+    return [(family & w) << (1 << c) for c, w in enumerate(_without_column(n))]
 
 
 @lru_cache(maxsize=None)
@@ -113,44 +141,31 @@ def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
     A state is the family of column sets that the rows read so far can be
     matched onto, held as the 2^n-bit Python int ``words[state]`` (bit S for
-    set S); states are numbered in breadth-first order from state 0, where
-    no rows are read and only the empty set is matchable.  ``T[state, row]``
-    reads one more left vertex with neighbour row ``row``: S -> S | {c} for
-    every S in the family and every c in row \\ S.  The empty family (no
-    matching left) absorbs every row.  The families are the bases of a
-    transversal matroid, so few occur: 407 states at n = 5.
+    set S); at state 0 only the empty set is.  ``T[state, row]`` reads one
+    more left vertex with neighbour row ``row``: S -> S | {c} for every S in
+    the family and every c in row \\ S.  The empty family (no matching left)
+    is state :data:`EMPTY_FAMILY` and absorbing.  The families are the bases
+    of a transversal matroid, so few occur: 407 states at n = 5.
     """
-    size = 1 << n
-    without = _without_column(n)
-    words = [1]
-    index = {1: 0}
-    trans: list[int] = []
-    for family in words:  # grows while it is read: a breadth-first search
-        # the family's sets that miss column c, each with c added
-        added = [(family & w) << (1 << c) for c, w in enumerate(without)]
-        nxt = [0] * size
-        for row in range(1, size):
+    def successors(family: int) -> list[int]:
+        added = _grown(n, family)
+        nxt = [0] * (1 << n)
+        for row in range(1, 1 << n):
             low = row & -row
             nxt[row] = nxt[row ^ low] | added[low.bit_length() - 1]
-        for f in nxt:
-            if f not in index:
-                index[f] = len(words)
-                words.append(f)
-            trans.append(index[f])
-    t = np.array(trans, dtype=np.min_scalar_type(len(words) - 1)).reshape(-1, size)
-    t.flags.writeable = False
-    return t, tuple(words)
+        return nxt
+    return _row_automaton(n, 1, successors)
 
 
 @lru_cache(maxsize=None)
-def _prefix_codes(n: int) -> tuple[np.ndarray, ...]:
-    """State codes C_0 .. C_{n-1}: C_k[p] is the automaton state after the
-    rows in the low k*n bits p of a mask, so every dense table below is one
-    gather through them.  Row k is the high part of the next index, so
-    C_{k+1} is T[C_k] transposed."""
+def _prefix_codes(n: int, automaton: Callable = _family_automaton) -> tuple[np.ndarray, ...]:
+    """State codes C_0 .. C_{n-1} of a row automaton: C_k[p] is the state
+    after the rows in the low k*n bits p of a mask, so every dense table
+    below is one gather through them.  Row k is the high part of the next
+    index, so C_{k+1} is T[C_k] transposed."""
     if n > 5:
-        raise ValueError("dense truth tables stop at n=5")
-    trans, _ = _family_automaton(n)
+        raise ValueError("dense tables stop at n=5")
+    trans = automaton(n)[0]
     codes = [np.zeros(1, dtype=trans.dtype)]
     for _ in range(n - 1):
         codes.append(trans[codes[-1]].T.ravel())
@@ -192,10 +207,7 @@ def _reach_table(n: int) -> np.ndarray:
     full = (1 << n) - 1
     flipped = np.array([sum(1 << (full ^ s) for s in range(full + 1) if (w >> s) & 1)
                         for w in words], dtype=np.uint64)
-    # bit S | {j} for every S of the family that avoids j
-    grown = np.array([[(w & without) << (1 << j)
-                       for j, without in enumerate(_without_column(n))]
-                      for w in words], dtype=np.uint64)
+    grown = np.array([_grown(n, w) for w in words], dtype=np.uint64)
     hit = (grown[:, None, :] & flipped[None, :, None]) != 0
     out = np.packbits(hit, axis=2, bitorder="little")[:, :, 0]
     out.flags.writeable = False
@@ -302,63 +314,47 @@ def stream_mc_masks(n: int, threads: int | None = None) -> Iterator[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _component_automaton(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row automaton of the component count: (T, F).
+def _component_automaton(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Row automaton of the component count: (T, states, F).
 
-    A state is a partition, into blocks, of the columns the rows read so far
-    touch; the Bell(n+1) states are numbered in breadth-first order from the
-    empty partition (state 0).  ``T[(state << n) | row]`` merges every block
-    that meets ``row`` with the columns of ``row`` (a zero row leaves the
-    state unchanged), and ``F[state]`` is the number of blocks plus the
-    number of untouched columns.
+    A state is (blocks, zeros): the partition into blocks of the columns
+    the rows read so far touch, and how many of those rows are zero, capped
+    at n.  A nonzero row merges every block that meets it with its columns.
+    ``F[state]`` counts the blocks, the untouched columns and ``zeros``;
+    there are (n + 1) * Bell(n + 1) states.
     """
-    size = 1 << n
-    states: list[tuple[int, ...]] = [()]
-    index = {(): 0}
-    trans: list[int] = []
-    for blocks in states:  # grows while it is read: a breadth-first search
-        for row in range(size):
-            if row:
-                merged = row
-                for b in blocks:
-                    if b & row:
-                        merged |= b
-                blocks_after = tuple(sorted([b for b in blocks if not b & row] + [merged]))
-            else:
-                blocks_after = blocks
-            if blocks_after not in index:
-                index[blocks_after] = len(states)
-                states.append(blocks_after)
-            trans.append(index[blocks_after])
-    t = np.array(trans, dtype=np.min_scalar_type(len(trans) - 1))
-    f = np.array([len(blocks) + n - sum(blocks).bit_count() for blocks in states],
-                 dtype=np.int64)
-    t.flags.writeable = False
+    @lru_cache(maxsize=None)  # shared by the n + 1 zero-row counts
+    def merged(blocks: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # the blocks are disjoint, so their sum is their union
+        return [tuple(sorted([b for b in blocks if not b & row]
+                             + [row | sum(b for b in blocks if b & row)]))
+                for row in range(1, 1 << n)]
+
+    def successors(state: tuple) -> list[tuple]:
+        blocks, zeros = state
+        return [(blocks, min(zeros + 1, n))] + [(b, zeros) for b in merged(blocks)]
+    trans, states = _row_automaton(n, ((), 0), successors)
+    f = np.array([len(blocks) + n - sum(blocks).bit_count() + zeros
+                  for blocks, zeros in states], dtype=np.int64)
     f.flags.writeable = False
-    return t, f
+    return trans, states, f
 
 
 def component_counts(n: int, masks: np.ndarray) -> np.ndarray:
-    """|C(G)| for each mask, counting all 2n vertices, as int64.
+    """|C(G)| for each mask, counting all 2n vertices, as int64; n <= 5.
 
-    Runs the row automaton of :func:`_component_automaton` over the rows of
-    every mask at once, one table gather per row.  Each block of its final
-    state is one component holding left and right vertices, each untouched
-    column an isolated right vertex, and each zero row an isolated left
-    vertex.
+    The state of :func:`_component_automaton` after the first n - 1 rows is
+    one prefix-code gather, and the last row is one step.  Each block of the
+    final state is one component holding left and right vertices, each
+    untouched column an isolated right vertex, and each zero row an
+    isolated left vertex.
     """
-    trans, blocks = _component_automaton(n)
+    trans, _, count = _component_automaton(n)
     masks = np.asarray(masks).astype(np.min_scalar_type((1 << (n * n)) - 1), copy=False)
-    full = masks.dtype.type((1 << n) - 1)
-    state = np.zeros(masks.shape, dtype=trans.dtype)
-    zero_rows = np.zeros(masks.shape, dtype=np.int64)
-    for i in range(n):
-        row = ((masks >> masks.dtype.type(n * i)) & full).astype(trans.dtype)
-        zero_rows += row == 0
-        state <<= trans.dtype.type(n)
-        state |= row
-        state = trans[state]
-    return blocks[state] + zero_rows
+    width = n * (n - 1)
+    prefix = masks & masks.dtype.type((1 << width) - 1)
+    state = _prefix_codes(n, _component_automaton)[-1][prefix]
+    return count[trans[state, masks >> masks.dtype.type(width)]]
 
 
 def chi_values(n: int, masks: np.ndarray) -> np.ndarray:
@@ -439,48 +435,47 @@ def check_transform_headroom(values: np.ndarray) -> None:
 # Signed matchable-family automaton
 # ---------------------------------------------------------------------------
 
-def signed_family_step(n: int, weights: dict[int, int], s: int) -> dict[int, int]:
-    """One row S_i of the signed family automaton: every state of ``weights``
-    steps on the row ``full ^ T_i`` for each T_i subseteq S_i, with weight
-    (-1)^{|S_i \\ T_i|}.  The empty family (no matching left) and zero
-    weights are dropped.  After i rows |weight| <= 2^(n*i), so int64 is
-    exact for n <= 7."""
-    trans, words = _family_automaton(n)
-    full = (1 << n) - 1
-    rows, signs = [], []
-    t = s
-    while True:  # every submask t of s
-        rows.append(full ^ t)
-        signs.append(-1 if (s ^ t).bit_count() & 1 else 1)
-        if not t:
-            break
-        t = (t - 1) & s
-    states = np.fromiter(weights, dtype=np.int64, count=len(weights))
-    w = np.fromiter(weights.values(), dtype=np.int64, count=len(weights))
-    out = np.zeros(len(words), dtype=np.int64)
-    np.add.at(out, trans[np.ix_(states, rows)], w[:, None] * np.array(signs))
-    out[words.index(0)] = 0
+# every walk starts at state 0, where only the empty column set is matchable
+FAMILY_START = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+EMPTY_FAMILY = 1  # the first state that row 0 reaches from state 0
+
+
+def signed_family_step(n: int, walk: tuple[np.ndarray, np.ndarray], s: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """One row S_i of the signed family automaton.  ``walk`` is (states,
+    weights), two int64 arrays; every state steps on the row ``full ^ T_i``
+    for each T_i subseteq S_i, with weight (-1)^{|S_i \\ T_i|}.  Returns the
+    (states, weights) reached, ascending by state, without the empty family
+    (no matching left) or zero weights.  After i rows |weight| <= 2^(n*i),
+    so int64 is exact for n <= 7, and larger n is rejected."""
+    if n > 7:
+        raise ValueError(f"the signed walk is exact in int64 only for n <= 7, got n={n}")
+    trans = _family_automaton(n)[0]
+    states, weights = walk
+    subsets = np.arange(1 << n)
+    subsets = subsets[(subsets & s) == subsets]  # every T_i subseteq S_i
+    signs = 1 - 2 * (popcount_array(subsets ^ s) & 1)
+    out = np.zeros(len(trans), dtype=np.int64)
+    np.add.at(out, trans[states[:, None], ((1 << n) - 1) ^ subsets],
+              weights[:, None] * signs)
+    out[EMPTY_FAMILY] = 0
     live = np.flatnonzero(out)
-    return dict(zip(live.tolist(), out[live].tolist()))
-
-
-# the start state: only the empty column set is matchable, with weight 1
-FAMILY_START = {0: 1}
+    return live, out[live]
 
 
 def signed_matchable_sum(n: int, rows: Iterable[int]) -> int:
     """sum over T subseteq S of (-1)^{|S \\ T|} BPM(K_{n,n} \\ T), where S is
-    the graph with the given rows.
+    the graph with the given rows; n <= 7.
 
     Each row picks its own T_i subseteq S_i, so the sum runs the family
     automaton with signed weights (:func:`signed_family_step`).  After all n
     rows a nonempty family holds only the full set, so the total weight left
     is the sum.
     """
-    weights = FAMILY_START
+    walk = FAMILY_START
     for s in rows:
-        weights = signed_family_step(n, weights, s)
-    return sum(weights.values())
+        walk = signed_family_step(n, walk, s)
+    return int(walk[1].sum())
 
 
 def supergraph_masks(n: int, base: int, lo: int, hi: int) -> np.ndarray:

@@ -93,14 +93,14 @@ def _ferrers_coefficients(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     non-increasing degree sequences d_1 >= ... >= d_n, row i being columns
     0..d_i - 1; there are C(2n, n) - 1.  The shapes are walked as a trie on
     their row prefixes, so a shared prefix runs the automaton once."""
-    def walk(prefix: tuple[int, ...], weights: dict[int, int]):
+    def walk(prefix: tuple[int, ...], reached: tuple[np.ndarray, np.ndarray]):
         if len(prefix) == n:
             if prefix[0]:
-                yield prefix, -sum(weights.values())
+                yield prefix, -int(reached[1].sum())
             return
         for d in range(prefix[-1] if prefix else n, -1, -1):
             yield from walk(prefix + (d,),
-                            _kernels.signed_family_step(n, weights, (1 << d) - 1))
+                            _kernels.signed_family_step(n, reached, (1 << d) - 1))
     return walk((), _kernels.FAMILY_START)
 
 

@@ -13,7 +13,7 @@ import sys
 
 from . import bpm, caps, matchcov, mclattice, polyalg, verify
 from ._kernels import default_threads, thread_default
-from .bitgraph import cyclomatic_number, parse_graph
+from .bitgraph import cyclomatic_number, is_connected_spanning, parse_graph
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def _cmd_classify(args) -> int:
         mc = elem = False
     else:
         mc = matchcov.is_matching_covered(g)
-        elem = matchcov.is_elementary(g)
+        elem = mc and is_connected_spanning(g)
     chi = cyclomatic_number(g)
     fields = [
         f"n={g.n}",

@@ -44,10 +44,6 @@ class McLattice:
             raise ValueError(f"mask {mask:#x} is not a lattice node")
         return idx
 
-    def is_node(self, mask: int) -> bool:
-        idx = int(np.searchsorted(self.masks, mask))
-        return idx < len(self.masks) and self.masks[idx] == mask
-
     @property
     def bottom(self) -> int:
         return 0

@@ -38,6 +38,12 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _input_mask(n: int, mask: int) -> int:
+    if not 0 <= mask < 1 << (n * n):
+        raise ValueError(f"input mask {mask:#x} outside the variable range")
+    return mask
+
+
 class TruthTable:
     """Dense Boolean function table over all 2^(n^2) edge masks."""
 
@@ -141,7 +147,7 @@ class MultilinearPoly:
     def evaluate_signs(self, negative_mask: int) -> Fraction:
         """Exact value at the +/-1 point whose -1 coordinates are the set bits
         of ``negative_mask``."""
-        parity = _kernels.popcount_array(self.masks & negative_mask) & 1
+        parity = _kernels.popcount_array(self.masks & _input_mask(self.n, negative_mask)) & 1
         total = int(np.where(parity == 1, -self.coeffs, self.coeffs).sum())
         return Fraction(total, 1 << self.shared_exponent)
 
@@ -215,9 +221,9 @@ def to_truth_table(p: MultilinearPoly) -> TruthTable:
 
 def evaluate(p: MultilinearPoly, g: BipartiteGraph | int) -> int:
     """Exact value of p on the 0/1 input given by a graph (or raw mask)."""
-    mask = g.mask if isinstance(g, BipartiteGraph) else int(g)
     if isinstance(g, BipartiteGraph) and g.n != p.n:
         raise ValueError(f"graph has n={g.n}, polynomial has n={p.n}")
+    mask = g.mask if isinstance(g, BipartiteGraph) else _input_mask(p.n, int(g))
     inside = (p.masks & ~mask) == 0
     return int(_integral(p).coeffs[inside].sum())
 

@@ -108,11 +108,15 @@ class TestComponentCounts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_automaton_has_bell_many_states(self, n):
+        # every partition of the touched columns, each with 0..n zero rows
         bell = {1: 2, 2: 5, 3: 15, 4: 52, 5: 203}[n]  # Bell(n+1)
-        trans, blocks = _kernels._component_automaton(n)
-        assert blocks.shape == (bell,)
-        assert trans.shape == (bell << n,)
-        assert int(trans.max()) == bell - 1
+        trans, states, counts = _kernels._component_automaton(n)
+        assert len({blocks for blocks, _ in states}) == bell
+        assert sorted(states) == sorted({(blocks, z) for blocks, _ in states
+                                         for z in range(n + 1)})
+        assert trans.shape == ((n + 1) * bell, 1 << n) and not trans.flags.writeable
+        assert int(trans.max()) == (n + 1) * bell - 1 and states[0] == ((), 0)
+        assert counts.tolist() == [len(b) + n - sum(b).bit_count() + z for b, z in states]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_small_n(self, n):
@@ -265,7 +269,30 @@ class TestRowProfile:
 MATCHABLE_GRAPHS = {1: 1, 2: 7, 3: 247, 4: 37_823, 5: 23_191_071, 6: 54_812_742_655}
 
 
+# state counts of _family_automaton; a walk at n = 7 still fits uint16
+FAMILY_STATES = {1: 3, 2: 6, 3: 17, 4: 69, 5: 407, 6: 3_763, 7: 64_185}
+
+
 class TestFamilyAutomaton:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.large)])
+    def test_state_counts_and_dtypes(self, n):
+        trans, words = _kernels._family_automaton(n)
+        assert len(words) == FAMILY_STATES[n] and trans.shape == (len(words), 1 << n)
+        assert trans.dtype == (np.uint8 if n <= 4 else np.uint16)
+        assert words[0] == 1 and words[_kernels.EMPTY_FAMILY] == 0
+
+    def test_signed_walk_stops_at_n7(self):
+        misses = _kernels._family_automaton.cache_info().misses
+        with pytest.raises(ValueError, match="n <= 7"):
+            _kernels.signed_matchable_sum(8, [255] * 8)
+        assert _kernels._family_automaton.cache_info().misses == misses
+
+    def test_signed_step_reads_and_returns_arrays(self):
+        states, weights = _kernels.signed_family_step(2, _kernels.FAMILY_START, 0b11)
+        assert states.dtype == weights.dtype == np.int64
+        assert np.all(np.diff(states) > 0) and np.all(weights != 0)
+        assert _kernels.EMPTY_FAMILY not in states.tolist()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_row_step_matches_definition(self, n):
         trans, words = _kernels._family_automaton(n)

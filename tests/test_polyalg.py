@@ -132,6 +132,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(p, BipartiteGraph.empty(3))
 
+    @pytest.mark.parametrize("mask", [-1, 16, 1 << 70])
+    def test_masks_outside_the_variables_rejected(self, mask):
+        p = MultilinearPoly.from_terms(2, BPM2_TERMS)
+        with pytest.raises(ValueError, match="outside the variable range"):
+            evaluate(p, mask)
+        with pytest.raises(ValueError, match="outside the variable range"):
+            p.evaluate_signs(mask)
+
 
 class TestDualize:
     def test_dual_agrees_pointwise(self):

@@ -60,10 +60,11 @@ class McLattice:
         return {
             "n": self.n,
             "nodes": [
-                {"mask": f"{int(m):#x}", "rank": int(r), "mobius": int(mu)}
-                for m, r, mu in zip(self.masks, self.rank, self.mobius)
+                {"mask": f"{m:#x}", "rank": r, "mobius": mu}
+                for m, r, mu in zip(self.masks.tolist(), self.rank.tolist(),
+                                    self.mobius.tolist())
             ],
-            "cover_edges": [[int(a), int(b)] for a, b in self.cover_edges],
+            "cover_edges": self.cover_edges.tolist(),
         }
 
     def to_dot(self) -> str:

@@ -324,15 +324,11 @@ def _row_edges(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
 
 @lru_cache(maxsize=None)
 def _row_vars(n: int) -> tuple[tuple[str, ...], ...]:
-    """table[i][r] = the variable names of row i's edges, space-separated."""
-    return tuple(tuple(" ".join(f"x_{{{a},{b}}}" for a, b in edges) for edges in row)
+    """table[i][r] = the variable names of row i's edges, each followed by a
+    space, so a term's variables are the join of its rows minus the last
+    character."""
+    return tuple(tuple("".join(f"x_{{{a},{b}}} " for a, b in edges) for edges in row)
                  for row in _row_edges(n))
-
-
-def _term_vars(n: int, mask: int) -> str:
-    table = _row_vars(n)
-    full = (1 << n) - 1
-    return " ".join(filter(None, (table[i][(mask >> (n * i)) & full] for i in range(n))))
 
 
 def _text_order(masks: np.ndarray) -> np.ndarray:
@@ -346,13 +342,16 @@ def to_text(p: MultilinearPoly) -> str:
     if not len(p):
         return "0\n"
     den = 1 << p.shared_exponent
+    n = p.n
+    table = _row_vars(n)
+    full = (1 << n) - 1
     lines = []
     order = _text_order(p.masks)
     for mask, c in zip(p.masks[order].tolist(), p.coeffs[order].tolist()):
         sign = "-" if c < 0 else "+"
         mag = abs(c) if den == 1 else Fraction(abs(c), den)
         coeff_str = "" if mag == 1 else str(mag)
-        vars_str = _term_vars(p.n, mask)
+        vars_str = "".join([table[i][(mask >> (n * i)) & full] for i in range(n)])[:-1]
         if not mask:
             body = coeff_str or "1"
         elif coeff_str:

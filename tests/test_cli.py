@@ -6,10 +6,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matchpoly
-from matchpoly import _kernels
+from matchpoly import _kernels, bpm, cli, mclattice, polyalg
 from matchpoly.cli import main
 from matchpoly.verify import golden_dual3_text
 
@@ -325,3 +326,135 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["poly", "--n", "x"])
         assert exc.value.code == 2
+
+
+def assert_written_as_json_dumps(capsys, doc, items=None):
+    cli._write_json(doc, items)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def poly_doc(basis, n):
+    if basis == "dual":
+        return polyalg.to_json_dict(bpm.dual_polynomial(n), basis)
+    p = bpm.primal_polynomial(n)
+    return polyalg.to_json_dict(polyalg.to_fourier(p) if basis == "fourier" else p, basis)
+
+
+class TestJsonWriter:
+    """``_write_json`` against ``json.dumps(doc, indent=2) + "\\n"``."""
+
+    @pytest.mark.parametrize("basis,n", [
+        (basis, n) for basis in ("primal", "dual", "fourier") for n in (1, 2, 3)
+    ] + [("primal", 4), ("dual", 4)])
+    def test_polynomial_documents(self, capsys, basis, n):
+        doc = poly_doc(basis, n)
+        assert_written_as_json_dumps(capsys, doc, cli._POLY_ITEMS)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lattice_documents(self, capsys, n):
+        doc = mclattice.build_lattice(n).to_json_dict()
+        assert_written_as_json_dumps(capsys, doc, cli._LATTICE_ITEMS)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("basis", ["primal", "dual"])
+    def test_summary_documents(self, capsys, basis, n):
+        p = bpm.primal_polynomial(n) if basis == "primal" else bpm.dual_polynomial(n)
+        doc = {"n": n, "basis": basis, "groups": bpm.monomial_summary(p)}
+        assert_written_as_json_dumps(capsys, doc)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bounds_documents(self, capsys, n):
+        doc = bpm.bounds_report(n).to_json_dict()
+        assert_written_as_json_dumps(capsys, doc)
+
+    def test_empty_polynomial(self, capsys):
+        doc = polyalg.to_json_dict(polyalg.MultilinearPoly.zero(2), "dual")
+        assert doc["terms"] == []
+        assert_written_as_json_dumps(capsys, doc, cli._POLY_ITEMS)
+
+    def test_constant_term(self, capsys):
+        p = polyalg.MultilinearPoly(2, np.array([0, 9]), np.array([-3, 1]), 1)
+        doc = polyalg.to_json_dict(p, "fourier")
+        assert doc["terms"][0]["edges"] == []
+        assert_written_as_json_dumps(capsys, doc, cli._POLY_ITEMS)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_lists_across_batch_boundaries(self, capsys, monkeypatch, size):
+        monkeypatch.setattr(cli, "_JSON_BATCH", 2)
+        poly = poly_doc("primal", 3)
+        poly["terms"] = poly["terms"][:size]
+        lattice = mclattice.build_lattice(2).to_json_dict()
+        lattice["nodes"] = lattice["nodes"][:size]
+        lattice["cover_edges"] = [[k, k + 1] for k in range(size)]
+        for doc, items in ((poly, cli._POLY_ITEMS), (lattice, cli._LATTICE_ITEMS)):
+            assert_written_as_json_dumps(capsys, doc, items)
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("poly", "--n", "4", "--basis", "primal", "--format", "json"),
+         "5e7177186f87444f61280f71e087b29a5c542e216be6c48a08ba9842df6f779c"),
+        (("poly", "--n", "4", "--basis", "dual", "--format", "json"),
+         "852f2f333fd02fbb42024bb56417edc9241fc94f6faaee151b08b1c1e4e91b9e"),
+        (("poly", "--n", "4", "--basis", "fourier", "--format", "json"),
+         "c99869f9399c216473d8263c575295bc21c64e5ade934090c5311290b68df7b0"),
+        (("lattice", "--n", "4", "--format", "json"),
+         "25cb4c9b37378b5066ff35dc240d1bdc400ffa18bd368c56257fb6e9174f3800"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_n4_json_frozen(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class ClosingPipe:
+    """A stdout whose reader leaves after ``writes`` writes; its descriptor
+    is a temporary file's, for ``main`` to point at os.devnull."""
+
+    def __init__(self, fd, writes):
+        self.fd, self.writes, self.text = fd, writes, []
+
+    def write(self, s):
+        if len(self.text) == self.writes:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.text.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedPipe:
+    def test_streamed_document_exits_141(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_JSON_BATCH", 2)
+        with open(tmp_path / "stdout", "w") as f:
+            pipe = ClosingPipe(f.fileno(), writes=7)
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = main(["lattice", "--n", "3", "--format", "json"])  # 25 batches
+            monkeypatch.undo()
+            devnull = os.stat(os.devnull)
+            assert os.fstat(f.fileno())[:2] == (devnull.st_mode, devnull.st_ino)
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        text = "".join(pipe.text)  # two of the 25 batches
+        assert text.count('"mask"') == 4
+        assert json.dumps(mclattice.build_lattice(3).to_json_dict(), indent=2).startswith(text)
+        assert capsys.readouterr().err == ""
+
+    def test_reader_gone_before_output(self):
+        # a pipe without a reader fails every write: no traceback, and no
+        # "Exception ignored" line from the interpreter's exit flush
+        src = str(Path(matchpoly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "matchpoly", "poly", "--n", "2",
+                 "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141 and proc.stderr == ""

@@ -418,6 +418,13 @@ def superset_sum_transform(values: np.ndarray, nvars: int) -> None:
     _passes(values, nvars, op)
 
 
+def superset_or_transform(values: np.ndarray, nvars: int) -> None:
+    """In place: values[S] <- OR over T supseteq S of values[T]."""
+    def op(hi, lo):
+        lo |= hi
+    _passes(values, nvars, op)
+
+
 def check_transform_headroom(values: np.ndarray) -> None:
     """Guard against int64 overflow: every intermediate of the transforms is
     a +/-1 combination of distinct inputs, so the l1 norm bounds everything.

@@ -128,10 +128,12 @@ def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ferrers_orbit(n: int, rows: list[int]) -> np.ndarray:
     """Every graph reached from ``rows`` by permuting rows and columns,
-    ascending: one (n!, n!) array of masks, then :func:`np.unique`."""
+    ascending: one (n!, n!) array of masks, sorted, with the first mask of
+    each run of equal ones kept."""
     images, shifts = _orbit_tables(n)
     permuted = images[:, rows]  # (n!, n): the rows under each tau
-    return np.unique((permuted[:, None, :] << shifts[None, :, :]).sum(axis=-1))
+    masks = np.sort((permuted[:, None, :] << shifts[None, :, :]).sum(axis=-1), axis=None)
+    return masks[np.concatenate(([True], masks[1:] != masks[:-1]))]
 
 
 # ---------------------------------------------------------------------------

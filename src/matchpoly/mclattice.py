@@ -25,6 +25,11 @@ from .caps import require_hard
 from .matchcov import is_matching_covered
 
 
+# rows of a rank layer tested against the next layer at once: at n = 4 the
+# largest block is 64 x 2,176, a 1.1 MB int64 temporary
+_COVER_ROWS = 64
+
+
 @dataclass(frozen=True, eq=False)
 class McLattice:
     """Immutable lattice: nodes ascending by mask (bottom first, top last)."""
@@ -101,21 +106,21 @@ def build_lattice(n: int) -> McLattice:
     rank = np.zeros(len(masks), dtype=np.int16)
     rank[1:] = chi[masks[1:]].astype(np.int16) + 1
 
-    # Moebius recursion in popcount order: mu(x) = -sum_{z subset x} mu(z)
+    # Moebius recursion in popcount order, one layer at a time:
+    # mu(x) = -sum_{z strictly below x} mu(z), and every node strictly below x
+    # has fewer edges, so a zeta transform of the lower layers' mu gives it
     mobius = np.zeros(len(masks), dtype=np.int64)
-    order = np.argsort(_kernels.popcount_array(masks), kind="stable")
-    done_masks = np.empty(len(masks), dtype=np.int64)
-    done_mu = np.empty(len(masks), dtype=np.int64)
-    for count, idx in enumerate(order.tolist()):
-        m = int(masks[idx])
-        if count == 0:
-            mu = 1
-        else:
-            below = (done_masks[:count] & ~m) == 0
-            mu = -int(done_mu[:count][below].sum())
-        mobius[idx] = mu
-        done_masks[count] = m
-        done_mu[count] = mu
+    mobius[0] = 1
+    pop = _kernels.popcount_array(masks)
+    lower = np.zeros(1 << (n * n), dtype=np.int64)
+    lower[0] = 1
+    for p in range(1, n * n + 1):
+        layer = np.flatnonzero(pop == p)
+        if layer.size:
+            sums = lower.copy()
+            _kernels.zeta_transform(sums, n * n)
+            mobius[layer] = -sums[masks[layer]]
+            lower[masks[layer]] = mobius[layer]
     expected = np.where(rank % 2 == 0, 1, -1).astype(np.int64)
     if not np.array_equal(mobius, expected):
         bad = int(np.nonzero(mobius != expected)[0][0])
@@ -123,19 +128,18 @@ def build_lattice(n: int) -> McLattice:
             f"Moebius number at node {int(masks[bad]):#x} is {int(mobius[bad])}, "
             f"not (-1)^rank; the lattice is not behaving as an Eulerian one")
 
-    # covers: containment + rank gap one, scanned rank layer against layer
-    by_rank = [np.nonzero(rank == r)[0] for r in range(int(rank.max()) + 1)]
-    pairs: list[tuple[int, int]] = []
-    for r in range(len(by_rank) - 1):
-        lows, highs = by_rank[r], by_rank[r + 1]
-        if lows.size == 0 or highs.size == 0:
-            continue
-        low_masks = masks[lows]
-        for hi_idx in highs.tolist():
-            hm = int(masks[hi_idx])
-            contained = (low_masks & ~hm) == 0
-            pairs.extend((int(lo), hi_idx) for lo in lows[contained])
-    cover_edges = np.array(sorted(pairs), dtype=np.int32).reshape(-1, 2)
+    # covers: containment + rank gap one, each rank layer against the next in
+    # blocks of rows
+    by_rank = [np.flatnonzero(rank == r) for r in range(int(rank.max()) + 1)]
+    pairs = []
+    for lows, highs in zip(by_rank, by_rank[1:]):
+        outside = ~masks[highs]
+        for start in range(0, lows.size, _COVER_ROWS):
+            block = lows[start:start + _COVER_ROWS]
+            lo, hi = np.nonzero((masks[block][:, None] & outside) == 0)
+            pairs.append(np.stack([block[lo], highs[hi]], axis=1))
+    pairs = np.concatenate(pairs)
+    cover_edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int32)
 
     for arr in (masks, rank, mobius, cover_edges):
         arr.flags.writeable = False
@@ -191,7 +195,11 @@ def _mc_supergraph_masks(g: BipartiteGraph) -> np.ndarray:
 
 
 def umbrella(g: BipartiteGraph) -> list[BipartiteGraph]:
-    """Minimal matching-covered supergraphs of ``g`` (an antichain); n <= 4."""
+    """Minimal matching-covered supergraphs of ``g`` (an antichain); n <= 4.
+
+    The oracle of the umbrella table that the ``implication_chain`` claim of
+    :mod:`matchpoly.verify` builds for every mask at once.
+    """
     if g.is_empty:
         raise ValueError("umbrellas are defined for nonempty graphs")
     sups = _mc_supergraph_masks(g)
@@ -223,7 +231,8 @@ def is_wildcard_edge(g: BipartiteGraph, a: int, b: int) -> bool:
     g + (a, b) lands back in MC_n; vacuously true with no such supergraph.
 
     (a, b) must be a non-edge of g.  Evaluated by scanning supergraph masks
-    against the dense MC table, so n <= 4.
+    against the dense MC table, so n <= 4.  The oracle of the wildcard table
+    of the ``implication_chain`` claim in :mod:`matchpoly.verify`.
     """
     if g.has_edge(a, b):
         raise ValueError(f"({a},{b}) is an edge of the graph; wildcard edges are non-edges")
@@ -236,7 +245,9 @@ def is_surplus_edge(g: BipartiteGraph, a: int, b: int) -> bool:
     """Hall-with-surplus on the left sets that pin down (a, b).
 
     True iff every proper left subset X containing a with b outside N(X)
-    has |N(X)| > |X|; a non-edge-only notion like wildcard edges.
+    has |N(X)| > |X|; a non-edge-only notion like wildcard edges.  The
+    oracle of the surplus table of the ``implication_chain`` claim in
+    :mod:`matchpoly.verify`.
     """
     if g.has_edge(a, b):
         raise ValueError(f"({a},{b}) is an edge of the graph; surplus edges are non-edges")

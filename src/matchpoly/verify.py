@@ -381,59 +381,106 @@ def _claim_dual_spot(n: int) -> VerificationReport:
                    f"{len(inner)} matching-covered graphs -> 0")
 
 
+def _implication_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The implication chain's per-mask flags, for every mask at once:
+    (wildcard, surplus, members).
+
+    Bit e of ``wildcard[g]`` (``surplus[g]``) is set iff e is a non-edge of g
+    and a wildcard (surplus) edge of g.  Row g of ``members`` is the umbrella
+    of g, ascending and padded with 0.  The scalar
+    :func:`mclattice.is_wildcard_edge`, :func:`mclattice.is_surplus_edge`
+    and :func:`mclattice.umbrella` are the oracles of these tables.
+    """
+    size = 1 << (n * n)
+    masks = np.arange(size, dtype=np.int64)
+    mc = _kernels.mc_table(n)
+
+    # bit e of bad[h]: h is MC, holds e, and h - e is not MC.  OR-ed over
+    # supersets, bit e of bad[g + e] says some MC supergraph of g + e needs e.
+    bad = np.zeros(size, dtype=np.int64)
+    for e in range(n * n):
+        drop = mc & ((masks >> e) & 1 == 1) & ~mc[masks ^ (1 << e)]
+        bad |= drop.astype(np.int64) << e
+    _kernels.superset_or_transform(bad, n * n)
+    wildcard = np.zeros(size, dtype=np.int64)
+    for e in range(n * n):
+        wildcard |= (~bad[masks | (1 << e)] >> e & 1) << e
+    wildcard &= ~masks
+
+    # N(X) for every left set X, one step per set as in
+    # bitgraph.left_neighborhoods; a proper X with |N(X)| <= |X| that holds
+    # row a rules out the surplus of (a, b) for every column b outside N(X)
+    row = (1 << n) - 1
+    rows = _kernels.mask_rows(n, masks).astype(np.int64)
+    nb = np.zeros((size, row + 1), dtype=np.int64)
+    for xs in range(1, row + 1):
+        low = xs & -xs
+        nb[:, xs] = nb[:, xs ^ low] | rows[:, low.bit_length() - 1]
+    sets = np.arange(row + 1)
+    tight = _kernels.popcount_array(nb) <= _kernels.popcount_array(sets)
+    tight[:, [0, row]] = False
+    blocked = np.where(tight, row ^ nb, 0)
+    surplus = np.zeros(size, dtype=np.int64)
+    for a in range(n):
+        ruled = np.bitwise_or.reduce(blocked[:, (sets >> a) & 1 == 1], axis=1)
+        surplus |= (row ^ ruled) << (n * a)
+    surplus &= ~masks
+
+    # the umbrella: the MC supergraphs of g with no MC supergraph of g
+    # strictly below them
+    nodes = _kernels.mc_masks(n)
+    sup = (masks[:, None] & ~nodes) == 0
+    below = ((nodes[:, None] & ~nodes) == 0) & (nodes[:, None] != nodes)
+    umb = sup & ~(sup @ below)
+    first = np.argsort(~umb, axis=1, kind="stable")[:, :int(umb.sum(axis=1).max())]
+    members = np.where(np.take_along_axis(umb, first, axis=1), nodes[first], 0)
+    return wildcard, surplus, members
+
+
 def _claim_implication_chain(n: int) -> VerificationReport:
     """surplus edge => wildcard edge => incomplete umbrella => zero dual
     coefficient, exhaustively, plus the umbrella inclusion-exclusion identity."""
     table = _dense_dual(n)
+    wildcard, surplus, members = _implication_tables(n)
     full = (1 << (n * n)) - 1
-    for mask in range(1, 1 << (n * n)):
-        g = BipartiteGraph(n, mask)
-        umb = mclattice.umbrella(g)
-        union = 0
-        for h in umb:
-            union |= h.mask
-        incomplete = union != full
+    incomplete = np.bitwise_or.reduce(members, axis=1) != full
 
-        # inclusion-exclusion over the umbrella reproduces the coefficient
-        total = 0
-        members = [h.mask for h in umb]
-        for sub in range(1, 1 << len(members)):
-            u = 0
-            bits = 0
-            s = sub
-            while s:
-                low = s & -s
-                u |= members[low.bit_length() - 1]
-                bits += 1
-                s ^= low
-            if u == full:
-                total += (-1) ** (bits + 1)
-        predicted = (-1) ** (n + mask.bit_count()) * total
-        if predicted != int(table[mask]):
-            return _report("implication_chain", n, False,
-                           f"umbrella identity predicts {predicted}, "
-                           f"coefficient is {int(table[mask])}", mask)
+    # inclusion-exclusion over the umbrella reproduces the coefficient: the
+    # subsets of each mask's members whose union is every edge, signed by size
+    width = members.shape[1]
+    subsets = np.arange(1, 1 << width)
+    picks = (subsets[:, None] >> np.arange(width)) & 1 == 1
+    unions = np.bitwise_or.reduce(np.where(picks, members[:, None, :], 0), axis=2)
+    real = subsets < (1 << np.count_nonzero(members, axis=1))[:, None]
+    signs = 2 * (_kernels.popcount_array(subsets) & 1) - 1
+    total = np.where(real & (unions == full), signs, 0).sum(axis=1)
+    odd = (n + _kernels.popcount_array(np.arange(full + 1))) & 1 == 1
+    predicted = np.where(odd, -total, total)
 
-        has_wildcard = False
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if g.has_edge(a, b):
-                    continue
-                wild = mclattice.is_wildcard_edge(g, a, b)
-                if mclattice.is_surplus_edge(g, a, b) and not wild:
-                    return _report("implication_chain", n, False,
-                                   f"surplus edge ({a},{b}) is not wildcard", mask)
-                has_wildcard = has_wildcard or wild
-        if has_wildcard and not incomplete:
-            return _report("implication_chain", n, False,
-                           "wildcard edge with a complete umbrella", mask)
-        if incomplete and table[mask] != 0:
-            return _report("implication_chain", n, False,
-                           "incomplete umbrella with nonzero coefficient", mask)
-    return _report("implication_chain", n, True,
-                   "surplus => wildcard => incomplete umbrella => zero "
-                   "coefficient, and the umbrella identity, over all "
-                   f"{(1 << (n * n)) - 1} nonempty graphs")
+    stray = surplus & ~wildcard
+    failed = ((predicted != table) | (stray != 0) | ((wildcard != 0) & ~incomplete)
+              | (incomplete & (table != 0)))
+    failed[0] = False
+    if not failed.any():
+        return _report("implication_chain", n, True,
+                       "surplus => wildcard => incomplete umbrella => zero "
+                       "coefficient, and the umbrella identity, over all "
+                       f"{full} nonempty graphs")
+    mask = int(np.argmax(failed))
+    if predicted[mask] != table[mask]:
+        return _report("implication_chain", n, False,
+                       f"umbrella identity predicts {int(predicted[mask])}, "
+                       f"coefficient is {int(table[mask])}", mask)
+    edges = int(stray[mask])
+    if edges:
+        a, b = divmod((edges & -edges).bit_length() - 1, n)
+        return _report("implication_chain", n, False,
+                       f"surplus edge ({a + 1},{b + 1}) is not wildcard", mask)
+    if wildcard[mask] and not incomplete[mask]:
+        return _report("implication_chain", n, False,
+                       "wildcard edge with a complete umbrella", mask)
+    return _report("implication_chain", n, False,
+                   "incomplete umbrella with nonzero coefficient", mask)
 
 
 def _claim_appendix_a(n: int) -> VerificationReport:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from matchpoly import (
@@ -66,6 +67,24 @@ class TestBuildLattice:
         # 24 vertices down to 16 facets: the face counts of the 9-dimensional
         # polytope whose face lattice this is
         assert sizes == [1, 24, 240, 978, 1968, 2176, 1392, 528, 120, 16, 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_node_by_node_construction(self, n):
+        # the Moebius recursion one node at a time in popcount order, and the
+        # covers one upper node at a time
+        lat = build_lattice(n)
+        masks = lat.masks
+        order = np.argsort(np.bitwise_count(masks), kind="stable")
+        mobius = np.zeros(len(masks), dtype=np.int64)
+        mobius[0] = 1
+        for count in range(1, len(order)):
+            done, i = order[:count], order[count]
+            mobius[i] = -mobius[done[(masks[done] & ~masks[i]) == 0]].sum()
+        assert np.array_equal(lat.mobius, mobius)
+        covers = [(int(lo), j) for j in range(len(masks))
+                  for lo in np.flatnonzero((lat.rank == lat.rank[j] - 1)
+                                           & ((masks & ~masks[j]) == 0))]
+        assert lat.cover_edges.tolist() == [list(c) for c in sorted(covers)]
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -21,6 +21,7 @@ from matchpoly import (
     to_truth_table,
 )
 
+from matchpoly import _kernels
 from matchpoly.polyalg import evaluate_all
 
 from helpers import oracle_evaluate, oracle_has_pm
@@ -31,6 +32,43 @@ BPM2_TERMS = {0b1001: 1, 0b0110: 1, 0b1111: -1}
 def bpm2_table() -> TruthTable:
     bits = [1 if oracle_has_pm(2, m) else 0 for m in range(16)]
     return TruthTable(2, np.array(bits, dtype=np.uint8))
+
+
+def every_function_n2():
+    """All 65,536 Boolean functions of the 4 edge variables at n = 2, one
+    int64 row each: row v holds the bits of v."""
+    values = np.arange(1 << 16)
+    return (values[:, None] >> np.arange(16)) & 1
+
+
+# functions also checked one at a time through the library
+SAMPLE_N2 = np.random.default_rng(29).choice(1 << 16, size=300, replace=False).tolist()
+
+
+def dense(p):
+    """p's coefficients as a dense row indexed by mask."""
+    row = np.zeros(1 << p.nvars, dtype=np.int64)
+    row[p.masks] = p.coeffs
+    return row
+
+
+def dense_interpolate(bits):
+    """:func:`interpolate` of every row at once.  A transform over the low
+    nvars bits of the index acts on each row of a C-contiguous stack of
+    2^nvars-wide rows on its own."""
+    coeffs = bits.astype(np.int64)
+    _kernels.mobius_transform(coeffs, 4)
+    return coeffs
+
+
+def dense_dualize(coeffs):
+    """:func:`dualize` of every dense n = 2 coefficient row at once: superset
+    sums, 1 minus the constant, and (-1)^(|S|+1) on the other terms."""
+    out = coeffs.copy()
+    _kernels.superset_sum_transform(out, 4)
+    out[:, 0] = 1 - out[:, 0]
+    out[:, 1:] *= 2 * (_kernels.popcount_array(np.arange(1, 16)) & 1) - 1
+    return out
 
 
 def table_from_bits(n, value):
@@ -81,12 +119,16 @@ class TestInterpolate:
         assert p.terms == {0b1111: 1}
 
     def test_roundtrip_exhaustive_n2(self):
-        # every Boolean function of the 4 edge variables
-        bit_positions = np.arange(16)
-        for value in range(1 << 16):
-            bits = ((value >> bit_positions) & 1).astype(np.uint8)
-            t = TruthTable(2, bits)
-            assert to_truth_table(interpolate(t)) == t, value
+        bits = every_function_n2()
+        coeffs = dense_interpolate(bits)
+        values = coeffs.copy()
+        _kernels.zeta_transform(values, 4)
+        assert np.array_equal(values, bits)
+        for value in SAMPLE_N2:
+            t = TruthTable(2, bits[value].astype(np.uint8))
+            p = interpolate(t)
+            assert np.array_equal(dense(p), coeffs[value]), value
+            assert to_truth_table(p) == t, value
 
     def test_roundtrip_api_sampled(self):
         rng = np.random.default_rng(7)
@@ -158,11 +200,13 @@ class TestDualize:
                 assert dualize(dualize(p)) == p
 
     def test_involution_exhaustive_n2(self):
-        # every Boolean function of the 4 edge variables
-        bit_positions = np.arange(16)
-        for value in range(1 << 16):
-            bits = ((value >> bit_positions) & 1).astype(np.uint8)
-            p = interpolate(TruthTable(2, bits))
+        bits = every_function_n2()
+        coeffs = dense_interpolate(bits)
+        duals = dense_dualize(coeffs)
+        assert np.array_equal(dense_dualize(duals), coeffs)
+        for value in SAMPLE_N2:
+            p = interpolate(TruthTable(2, bits[value].astype(np.uint8)))
+            assert np.array_equal(dense(dualize(p)), duals[value]), value
             assert dualize(dualize(p)) == p, value
 
     def test_constant_one_dualizes_to_zero(self):

@@ -1,14 +1,17 @@
-"""The verify claims on their failure paths, their frozen CLI output, and the
-array tables the lattice claim checks against the scalar join and meet."""
+"""The verify claims on their failure paths, their frozen CLI output, the
+array tables the lattice claim checks against the scalar join and meet, and
+the implication-chain tables against the scalar umbrella, wildcard and
+surplus functions."""
 
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchpoly import BipartiteGraph, bpm, build_lattice, join, meet, verify
+from matchpoly import BipartiteGraph, bpm, build_lattice, join, meet, mclattice, verify
 from matchpoly.bpm import TotalOrderClass, appendix_a_zero_test, classify_total_order
 from matchpoly.cli import main
 
@@ -99,6 +102,87 @@ class TestClaimFailures:
         report = verify.run_claim("counting", n)
         assert not report.passed
         assert report.detail == f"formula {real + 1} != exhaustive {real}"
+
+
+class TestImplicationTables:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_match_scalar_oracles(self, n):
+        wildcard, surplus, members = verify._implication_tables(n)
+        full = (1 << (n * n)) - 1
+        for mask in range(1, full + 1):
+            g = BipartiteGraph(n, mask)
+            umbrella = [h.mask for h in mclattice.umbrella(g)]
+            row = members[mask].tolist()
+            assert row == umbrella + [0] * (len(row) - len(umbrella)), mask
+            incomplete = int(np.bitwise_or.reduce(members[mask])) != full
+            assert incomplete == mclattice.has_incomplete_umbrella(g), mask
+            for e in range(n * n):
+                a, b = divmod(e, n)
+                flags = (int(wildcard[mask]) >> e & 1, int(surplus[mask]) >> e & 1)
+                if g.has_edge(a + 1, b + 1):
+                    assert flags == (0, 0), (mask, e)
+                else:
+                    assert flags == (mclattice.is_wildcard_edge(g, a + 1, b + 1),
+                                     mclattice.is_surplus_edge(g, a + 1, b + 1)), (mask, e)
+
+
+@pytest.fixture
+def tamper(monkeypatch):
+    """Edit the implication tables of one mask: tamper(mask, wildcard=...)."""
+    def apply(mask, wildcard):
+        real = verify._implication_tables
+
+        def fake(n):
+            tables = [t.copy() for t in real(n)]
+            tables[0][mask] = wildcard
+            return tuple(tables)
+        monkeypatch.setattr(verify, "_implication_tables", fake)
+    return apply
+
+
+class TestImplicationChainFailures:
+    def test_umbrella_identity(self, corrupt):
+        strict = of_class(3, TotalOrderClass.STRICTLY_TOTALLY_ORDERED)
+        small, large = strict[len(strict) // 3], strict[-2]
+        corrupt({large: 7, small: 5})
+        report = verify.run_claim("implication_chain", 3)
+        assert not report.passed
+        assert report.counterexample == small
+        assert report.detail == "umbrella identity predicts 1, coefficient is 5"
+
+    def test_incomplete_umbrella_fails_through_the_identity(self, corrupt):
+        # an incomplete umbrella predicts 0, so a nonzero coefficient there
+        # already breaks the identity, the check before the last link
+        _, _, members = verify._implication_tables(3)
+        incomplete = np.flatnonzero(np.bitwise_or.reduce(members, axis=1) != 511)
+        small, large = int(incomplete[40]), int(incomplete[-1])
+        corrupt({large: 2, small: -3})
+        report = verify.run_claim("implication_chain", 3)
+        assert not report.passed
+        assert report.counterexample == small
+        assert report.detail == "umbrella identity predicts 0, coefficient is -3"
+
+    def test_surplus_edge_not_wildcard(self, tamper):
+        _, surplus, _ = verify._implication_tables(3)
+        mask = int(np.flatnonzero(surplus)[10])
+        low = int(surplus[mask]) & -int(surplus[mask])
+        tamper(mask, wildcard=0)
+        report = verify.run_claim("implication_chain", 3)
+        a, b = divmod(low.bit_length() - 1, 3)
+        assert not report.passed
+        assert report.counterexample == mask
+        assert report.detail == f"surplus edge ({a + 1},{b + 1}) is not wildcard"
+
+    def test_wildcard_edge_with_complete_umbrella(self, tamper):
+        wildcard, _, members = verify._implication_tables(3)
+        complete = np.flatnonzero(np.bitwise_or.reduce(members, axis=1) == 511)
+        mask = int(complete[complete < 511][5])
+        free = 511 & ~mask
+        tamper(mask, wildcard=int(wildcard[mask]) | (free & -free))
+        report = verify.run_claim("implication_chain", 3)
+        assert not report.passed
+        assert report.counterexample == mask
+        assert report.detail == "wildcard edge with a complete umbrella"
 
 
 class TestLatticeTables:

@@ -81,12 +81,6 @@ class BipartiteGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.mask >> edge_bit(self.n, i, j)) & 1)
 
-    def with_edge(self, i: int, j: int) -> "BipartiteGraph":
-        return BipartiteGraph(self.n, self.mask | (1 << edge_bit(self.n, i, j)))
-
-    def without_edge(self, i: int, j: int) -> "BipartiteGraph":
-        return BipartiteGraph(self.n, self.mask & ~(1 << edge_bit(self.n, i, j)))
-
     def to_text(self) -> str:
         """Comma-separated ``i-j`` edge list; empty graph renders as ``0x0``."""
         if self.mask == 0:
@@ -119,9 +113,6 @@ class Matching:
         for i, j in self.pairs:
             m |= 1 << edge_bit(self.n, i, j)
         return m
-
-    def as_graph(self) -> BipartiteGraph:
-        return BipartiteGraph(self.n, self.mask)
 
 
 def parse_graph(n: int, text: str) -> BipartiteGraph:

@@ -44,7 +44,7 @@ def bpm_truth(n: int) -> TruthTable:
     return TruthTable(n, _kernels.truth_table(n))
 
 
-def primal_polynomial(n: int, threads: int | None = None) -> MultilinearPoly:
+def primal_polynomial(n: int) -> MultilinearPoly:
     """The {0,1}-basis polynomial, built from the matching-covered graphs.
 
     One term per MC graph with coefficient (-1)^chi; no interpolation is
@@ -52,7 +52,7 @@ def primal_polynomial(n: int, threads: int | None = None) -> MultilinearPoly:
     the interpolation of :func:`bpm_truth` as two independent routes.
     """
     require_hard("poly-primal", n)
-    masks, signs = zip(*_kernels.stream_mc_signs(n, threads))
+    masks, signs = zip(*_kernels.stream_mc_signs(n))
     return MultilinearPoly(n, np.concatenate(masks), np.concatenate(signs))
 
 
@@ -315,7 +315,7 @@ def totally_ordered_count(n: int) -> int:
                for k in range(1, n + 2))
 
 
-def pm_probability(n: int, threads: int | None = None) -> Fraction:
+def pm_probability(n: int) -> Fraction:
     """Probability a uniform subgraph of K_{n,n} has a perfect matching.
 
     Evaluated as the exact dyadic sum over matching-covered graphs of
@@ -324,12 +324,10 @@ def pm_probability(n: int, threads: int | None = None) -> Fraction:
     require_hard("truth-table", n)
     nn = n * n
     numerator = 0
-    for masks, signs in _kernels.stream_mc_signs(n, threads):
-        sizes = _kernels.popcount_array(masks)
-        for sgn in (1, -1):
-            counts = np.bincount(sizes[signs == sgn], minlength=nn + 1)
-            numerator += sgn * sum(int(c) << (nn - e)
-                                   for e, c in enumerate(counts.tolist()) if c)
+    for masks, signs in _kernels.stream_mc_signs(n):
+        # exact in int64: each term is at most 2^(nn-n), |MC_5| < 2^23
+        shifts = nn - _kernels.popcount_array(masks)
+        numerator += int((signs.astype(np.int64) << shifts).sum())
     value = Fraction(numerator, 1 << nn)
     direct = Fraction(int(_kernels.truth_table(n).sum()), 1 << nn)
     if value != direct:

@@ -284,7 +284,7 @@ def enumerate_mc(n: int) -> Iterator[BipartiteGraph]:
             yield BipartiteGraph(n, m)
 
 
-def count_mc(n: int, threads: int | None = None) -> int:
+def count_mc(n: int) -> int:
     """|MC_n| without materializing the graphs."""
     require_hard("enumerate-mc", n)
-    return sum(len(block) for block in _kernels.stream_mc_masks(n, threads))
+    return sum(len(block) for block in _kernels.stream_mc_masks(n))

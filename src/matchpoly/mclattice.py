@@ -50,10 +50,6 @@ class McLattice:
         return idx
 
     @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
     def top(self) -> int:
         return int(self.masks[-1])
 

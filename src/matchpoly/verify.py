@@ -3,8 +3,9 @@ checked against an independent route and reported with a first
 counterexample when one exists.
 
 The registry is the single source for the CLI ``verify`` command and for the
-acceptance test suite; each claim is a function of the side size n and
-returns a :class:`VerificationReport`.
+acceptance test suite.  Each claim runner is a function of the side size n
+that returns its :data:`Outcome`; :func:`run_claim` and :func:`run_all` name
+it and wrap it in a :class:`VerificationReport`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ class VerificationReport:
         return f"[{status}] {self.claim} n={self.n}: {self.detail}{extra}"
 
 
-def _report(claim: str, n: int, passed: bool, detail: str,
-            counterexample: int | None = None) -> VerificationReport:
-    return VerificationReport(claim, n, passed, detail, counterexample)
+# (passed, detail) or (passed, detail, first counterexample mask)
+Outcome = tuple[bool, str] | tuple[bool, str, int]
 
 
 @lru_cache(maxsize=None)
@@ -57,9 +57,12 @@ def _dense_dual(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
 def _total_order_codes(n: int) -> np.ndarray:
-    """Total-order class codes of every mask, indexed by mask."""
-    return bpm.total_order_codes(n, np.arange(1 << (n * n)))
+    """Read-only total-order class codes of every mask, indexed by mask."""
+    codes = bpm.total_order_codes(n, np.arange(1 << (n * n)))
+    codes.flags.writeable = False
+    return codes
 
 
 def _nonempty_of_class(n: int, cls: bpm.TotalOrderClass) -> np.ndarray:
@@ -72,32 +75,29 @@ def _nonempty_of_class(n: int, cls: bpm.TotalOrderClass) -> np.ndarray:
 # Claims
 # ---------------------------------------------------------------------------
 
-def _claim_thm1(n: int) -> VerificationReport:
+def _claim_thm1(n: int) -> Outcome:
     """Closed form vs interpolation: identical sparse term maps."""
     direct = bpm.primal_polynomial(n)
     oracle = polyalg.interpolate(bpm.bpm_truth(n))
     if direct == oracle:
-        return _report("thm1", n, True,
-                       f"matching-covered closed form == interpolated polynomial "
-                       f"({len(direct)} terms)")
+        return True, (f"matching-covered closed form == interpolated polynomial "
+                      f"({len(direct)} terms)")
     if len(direct) != len(oracle) or not np.array_equal(direct.masks, oracle.masks):
         both = np.union1d(direct.masks, oracle.masks)
         for m in both.tolist():
             if direct.coeff(m) != oracle.coeff(m):
-                return _report("thm1", n, False, "term maps differ", m)
+                return False, "term maps differ", m
     diff = np.nonzero(direct.coeffs != oracle.coeffs)[0]
-    return _report("thm1", n, False, "coefficients differ",
-                   int(direct.masks[diff[0]]))
+    return False, "coefficients differ", int(direct.masks[diff[0]])
 
 
-def _claim_n2_closed_form(n: int) -> VerificationReport:
+def _claim_n2_closed_form(n: int) -> Outcome:
     """The n=2 polynomial is x11 x22 + x12 x21 - x11 x12 x21 x22."""
     expected = polyalg.MultilinearPoly.from_terms(2, {0b1001: 1, 0b0110: 1, 0b1111: -1})
     actual = bpm.primal_polynomial(2)
     ok = actual == expected
-    return _report("n2_closed_form", n, ok,
-                   "n=2 primal polynomial equals its known closed form"
-                   if ok else f"got {actual.terms}")
+    return ok, ("n=2 primal polynomial equals its known closed form"
+                if ok else f"got {actual.terms}")
 
 
 _GOLDEN_RESOURCE = "bpm3_dual.txt"
@@ -107,26 +107,23 @@ def golden_dual3_text() -> str:
     return (resources.files("matchpoly.data") / _GOLDEN_RESOURCE).read_text()
 
 
-def _claim_appendix_b(n: int) -> VerificationReport:
+def _claim_appendix_b(n: int) -> Outcome:
     """Byte-identical rendering of the n=3 dual polynomial vs the golden file."""
     dual = bpm.dual_polynomial(3)
     rendered = polyalg.to_text(dual)
     golden = golden_dual3_text()
     if rendered == golden:
-        return _report("appendix_b", n, True,
-                       f"n=3 dual polynomial matches the golden transcription "
-                       f"({len(dual)} terms, byte-identical)")
+        return True, (f"n=3 dual polynomial matches the golden transcription "
+                      f"({len(dual)} terms, byte-identical)")
     for lineno, (got, want) in enumerate(zip(rendered.splitlines(),
                                              golden.splitlines()), start=1):
         if got != want:
-            return _report("appendix_b", n, False,
-                           f"first difference at line {lineno}: {got!r} != {want!r}")
-    return _report("appendix_b", n, False,
-                   f"term counts differ: {len(rendered.splitlines())} rendered "
+            return False, f"first difference at line {lineno}: {got!r} != {want!r}"
+    return False, (f"term counts differ: {len(rendered.splitlines())} rendered "
                    f"vs {len(golden.splitlines())} golden")
 
 
-def _claim_thm2_strict(n: int) -> VerificationReport:
+def _claim_thm2_strict(n: int) -> Outcome:
     """Every strictly totally ordered graph has dual coefficient (-1)^(n+1),
     and there are exactly (n!)^2 of them."""
     table = _dense_dual(n)
@@ -135,42 +132,34 @@ def _claim_thm2_strict(n: int) -> VerificationReport:
     bad = strict[table[strict] != want]
     if bad.size:
         mask = int(bad[0])
-        return _report("thm2_strict", n, False,
-                       f"strictly ordered graph with coefficient "
-                       f"{int(table[mask])} != {want}", mask)
+        return False, (f"strictly ordered graph with coefficient "
+                       f"{int(table[mask])} != {want}"), mask
     count = strict.size
     expected = math.factorial(n) ** 2
     if count != expected:
-        return _report("thm2_strict", n, False,
-                       f"{count} strictly ordered graphs, expected {expected}")
-    return _report("thm2_strict", n, True,
-                   f"all {count} strictly totally ordered graphs have "
-                   f"coefficient {want}")
+        return False, f"{count} strictly ordered graphs, expected {expected}"
+    return True, f"all {count} strictly totally ordered graphs have coefficient {want}"
 
 
-def _claim_thm2_nonordered(n: int) -> VerificationReport:
+def _claim_thm2_nonordered(n: int) -> Outcome:
     """Every non-totally-ordered graph has dual coefficient 0."""
     table = _dense_dual(n)
     nonordered = _nonempty_of_class(n, bpm.TotalOrderClass.NOT_TOTALLY_ORDERED)
     bad = nonordered[table[nonordered] != 0]
     if bad.size:
         mask = int(bad[0])
-        return _report("thm2_nonordered", n, False,
-                       f"non-ordered graph with coefficient {int(table[mask])}", mask)
-    return _report("thm2_nonordered", n, True,
-                   f"all {nonordered.size} non-totally-ordered graphs have coefficient 0")
+        return False, f"non-ordered graph with coefficient {int(table[mask])}", mask
+    return True, f"all {nonordered.size} non-totally-ordered graphs have coefficient 0"
 
 
-def _claim_dual_count(n: int) -> VerificationReport:
+def _claim_dual_count(n: int) -> Outcome:
     """(n!)^2 <= |mon(dual)| < (n+2)^(2n+2)."""
     dual = bpm.dual_polynomial(n)
     lo = math.factorial(n) ** 2
     hi = (n + 2) ** (2 * n + 2)
     count = len(dual)
     ok = lo <= count < hi
-    return _report("dual_count", n, ok,
-                   f"|mon| = {count}, bounds [{lo}, {hi})" +
-                   ("" if ok else " violated"))
+    return ok, f"|mon| = {count}, bounds [{lo}, {hi})" + ("" if ok else " violated")
 
 
 def _independent_covers(lat: mclattice.McLattice) -> set[tuple[int, int]]:
@@ -226,8 +215,13 @@ def _first_axiom_failure(joins: np.ndarray, meets: np.ndarray
     return messages[pos], i
 
 
-def _claim_lattice(n: int) -> VerificationReport:
-    """Rank, Moebius, interval sums, covers and the lattice axioms."""
+def _claim_lattice(n: int) -> Outcome:
+    """Covers, rank, interval Moebius sums and the lattice axioms.
+
+    The Moebius numbers are checked against (-1)^rank by
+    :func:`mclattice.build_lattice`, which raises on a mismatch, and the
+    rank is checked here against the longest chain through the covers.
+    """
     lat = mclattice.build_lattice(n)
     nodes = lat.masks.tolist()
 
@@ -236,9 +230,8 @@ def _claim_lattice(n: int) -> VerificationReport:
         indep = _independent_covers(lat)
         if stored != indep:
             bad = next(iter(stored.symmetric_difference(indep)))
-            return _report("lattice", n, False,
-                           "rank-gap covers differ from no-intermediate covers",
-                           nodes[bad[1]])
+            return (False, "rank-gap covers differ from no-intermediate covers",
+                    nodes[bad[1]])
 
     # independent rank: longest chain through the covers
     longest = [0] * len(nodes)
@@ -251,38 +244,31 @@ def _claim_lattice(n: int) -> VerificationReport:
             longest[j] = max(longest[j], longest[i] + 1)
     for i, m in enumerate(nodes):
         if longest[i] != int(lat.rank[i]):
-            return _report("lattice", n, False,
-                           f"longest-chain rank {longest[i]} != chi-based "
-                           f"rank {int(lat.rank[i])}", m)
-        if int(lat.mobius[i]) != (-1) ** longest[i]:
-            return _report("lattice", n, False, "Moebius number breaks the "
-                           "alternating pattern", m)
+            return False, (f"longest-chain rank {longest[i]} != chi-based "
+                           f"rank {int(lat.rank[i])}"), m
 
     top = lat.top
     for m in nodes:
         s = mclattice.interval_mobius_sum(lat, m)
         want = int(lat.mobius[lat.node_index(top)]) if m == top else 0
         if s != want:
-            return _report("lattice", n, False,
-                           f"interval Moebius sum {s} != {want}", m)
+            return False, f"interval Moebius sum {s} != {want}", m
 
     # join/meet tables and the lattice axioms
     joins, meets, outside = _join_meet_tables(lat)
     if outside.any():
         i = int(np.argmax(outside.any(axis=1)))
-        return _report("lattice", n, False,
-                       "join/meet landed outside the lattice", nodes[i])
+        return False, "join/meet landed outside the lattice", nodes[i]
     failure = _first_axiom_failure(joins, meets)
     if failure is not None:
         message, i = failure
-        return _report("lattice", n, False, message, nodes[i])
+        return False, message, nodes[i]
     size = len(nodes)
-    return _report("lattice", n, True,
-                   f"{size} nodes, {len(stored)} covers: ranks, Moebius numbers, "
-                   f"interval sums and lattice axioms all verified")
+    return True, (f"{size} nodes, {len(stored)} covers: ranks, Moebius numbers, "
+                  f"interval sums and lattice axioms all verified")
 
 
-def _claim_fourier(n: int) -> VerificationReport:
+def _claim_fourier(n: int) -> Outcome:
     """Elementary coefficients, pointwise basis change, and the constant term."""
     fp = polyalg.to_fourier(bpm.primal_polynomial(n))
     want = Fraction(1, 1 << (n * n - 1))
@@ -290,16 +276,14 @@ def _claim_fourier(n: int) -> VerificationReport:
     elem = _kernels.mc_table(n) & (_kernels.component_counts(n, masks) == 1)
     for mask in np.nonzero(elem)[0].tolist():
         if fp.coeff(int(mask)) != want:
-            return _report("fourier", n, False,
-                           f"elementary coefficient {fp.coeff(int(mask))} != {want}",
-                           int(mask))
+            return (False, f"elementary coefficient {fp.coeff(int(mask))} != {want}",
+                    int(mask))
     n_elem = int(elem.sum())
 
     constant = fp.coeff(0)
     expected_constant = -2 * bpm.pm_probability(n) + 1
     if constant != expected_constant:
-        return _report("fourier", n, False,
-                       f"constant term {constant} != -2*Pr+1 = {expected_constant}")
+        return False, f"constant term {constant} != -2*Pr+1 = {expected_constant}"
 
     if n == 2:
         truth = bpm.bpm_truth(2)
@@ -307,35 +291,33 @@ def _claim_fourier(n: int) -> VerificationReport:
             got = fp.evaluate_signs(neg)
             want_val = 1 - 2 * truth[neg]
             if got != want_val:
-                return _report("fourier", n, False,
-                               f"basis change wrong at +/-1 point {neg:#x}: "
-                               f"{got} != {want_val}", neg)
+                return False, (f"basis change wrong at +/-1 point {neg:#x}: "
+                               f"{got} != {want_val}"), neg
         sq = sum(Fraction(int(c), 1 << fp.shared_exponent) ** 2 for _, c in fp.items())
         if sq != 1:
-            return _report("fourier", n, False, f"Parseval sum {sq} != 1")
-    return _report("fourier", n, True,
-                   f"all {n_elem} elementary graphs have coefficient 2^-(n^2-1); "
-                   f"constant term matches -2*Pr+1")
+            return False, f"Parseval sum {sq} != 1"
+    return True, (f"all {n_elem} elementary graphs have coefficient 2^-(n^2-1); "
+                  f"constant term matches -2*Pr+1")
 
 
-def _claim_parity(n: int) -> VerificationReport:
+def _claim_parity(n: int) -> Outcome:
+    """Odd counts of matchable and matching-covered graphs."""
     ones = bpm.bpm_truth(n).popcount()
     mc = matchcov.count_mc(n)
     ok = ones % 2 == 1 and mc % 2 == 1
-    return _report("parity", n, ok,
-                   f"{ones} graphs with a matching (odd: {ones % 2 == 1}), "
-                   f"|MC_{n}| = {mc} (odd: {mc % 2 == 1})")
+    return ok, (f"{ones} graphs with a matching (odd: {ones % 2 == 1}), "
+                f"|MC_{n}| = {mc} (odd: {mc % 2 == 1})")
 
 
-def _claim_probability(n: int) -> VerificationReport:
+def _claim_probability(n: int) -> Outcome:
+    """Exact matching probability, two routes."""
     value = bpm.pm_probability(n)  # raises internally on route disagreement
     if n == 2 and value != Fraction(7, 16):
-        return _report("probability", n, False, f"Pr = {value} != 7/16")
-    return _report("probability", n, True,
-                   f"Pr[matching] = {value} (signed dyadic sum == direct count)")
+        return False, f"Pr = {value} != 7/16"
+    return True, f"Pr[matching] = {value} (signed dyadic sum == direct count)"
 
 
-def _claim_dual_spot(n: int) -> VerificationReport:
+def _claim_dual_spot(n: int) -> Outcome:
     """Spot coefficients: K_{n-1,n-1} -> (n-2)^2, Hall violators -> 1,
     matching-covered non-top -> 0."""
     table = _dense_dual(n)
@@ -343,13 +325,11 @@ def _claim_dual_spot(n: int) -> VerificationReport:
         n, [(i, j) for i in range(1, n) for j in range(1, n)])
     want = (n - 2) ** 2
     if table[little.mask] != want:
-        return _report("dual_spot", n, False,
-                       f"K_{{{n - 1},{n - 1}}} coefficient {int(table[little.mask])} "
-                       f"!= {want}", little.mask)
+        return False, (f"K_{{{n - 1},{n - 1}}} coefficient {int(table[little.mask])} "
+                       f"!= {want}"), little.mask
     if bpm.dual_coefficient(little) != want:
-        return _report("dual_spot", n, False,
-                       "automaton dual coefficient disagrees with the dense table",
-                       little.mask)
+        return (False, "automaton dual coefficient disagrees with the dense table",
+                little.mask)
     # permuted embeddings must agree
     reversal = tuple(range(n, 0, -1))
     rotation = tuple(list(range(2, n + 1)) + [1])
@@ -357,28 +337,22 @@ def _claim_dual_spot(n: int) -> VerificationReport:
         permuted = BipartiteGraph.from_edges(
             n, [(sigma[i - 1], tau[j - 1]) for i in range(1, n) for j in range(1, n)])
         if table[permuted.mask] != want:
-            return _report("dual_spot", n, False,
-                           "permuted embedding changed the coefficient",
-                           permuted.mask)
+            return False, "permuted embedding changed the coefficient", permuted.mask
     violators = bpm.enumerate_hall_violators(n)
     for h in violators:
         if table[h.mask] != 1:
-            return _report("dual_spot", n, False,
-                           f"Hall violator coefficient {int(table[h.mask])} != 1",
-                           h.mask)
+            return False, f"Hall violator coefficient {int(table[h.mask])} != 1", h.mask
         if not bpm.is_hvc(h):
-            return _report("dual_spot", n, False, "violator not HVC", h.mask)
+            return False, "violator not HVC", h.mask
     full = (1 << (n * n)) - 1
     mc = _kernels.mc_masks(n)
     inner = mc[mc != full]
     bad = np.nonzero(table[inner] != 0)[0]
     if bad.size:
-        return _report("dual_spot", n, False,
-                       "matching-covered non-top graph with nonzero coefficient",
-                       int(inner[bad[0]]))
-    return _report("dual_spot", n, True,
-                   f"K_{{{n - 1},{n - 1}}} -> {want}; {len(violators)} violators -> 1; "
-                   f"{len(inner)} matching-covered graphs -> 0")
+        return (False, "matching-covered non-top graph with nonzero coefficient",
+                int(inner[bad[0]]))
+    return True, (f"K_{{{n - 1},{n - 1}}} -> {want}; {len(violators)} violators -> 1; "
+                  f"{len(inner)} matching-covered graphs -> 0")
 
 
 def _implication_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,9 +411,13 @@ def _implication_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return wildcard, surplus, members
 
 
-def _claim_implication_chain(n: int) -> VerificationReport:
+def _claim_implication_chain(n: int) -> Outcome:
     """surplus edge => wildcard edge => incomplete umbrella => zero dual
-    coefficient, exhaustively, plus the umbrella inclusion-exclusion identity."""
+    coefficient, exhaustively, plus the umbrella inclusion-exclusion identity.
+
+    The last link needs no check of its own: an incomplete umbrella has no
+    member subset covering every edge, so the identity predicts 0 there.
+    """
     table = _dense_dual(n)
     wildcard, surplus, members = _implication_tables(n)
     full = (1 << (n * n)) - 1
@@ -458,32 +436,24 @@ def _claim_implication_chain(n: int) -> VerificationReport:
     predicted = np.where(odd, -total, total)
 
     stray = surplus & ~wildcard
-    failed = ((predicted != table) | (stray != 0) | ((wildcard != 0) & ~incomplete)
-              | (incomplete & (table != 0)))
+    failed = (predicted != table) | (stray != 0) | ((wildcard != 0) & ~incomplete)
     failed[0] = False
     if not failed.any():
-        return _report("implication_chain", n, True,
-                       "surplus => wildcard => incomplete umbrella => zero "
-                       "coefficient, and the umbrella identity, over all "
-                       f"{full} nonempty graphs")
+        return True, ("surplus => wildcard => incomplete umbrella => zero "
+                      "coefficient, and the umbrella identity, over all "
+                      f"{full} nonempty graphs")
     mask = int(np.argmax(failed))
     if predicted[mask] != table[mask]:
-        return _report("implication_chain", n, False,
-                       f"umbrella identity predicts {int(predicted[mask])}, "
-                       f"coefficient is {int(table[mask])}", mask)
+        return False, (f"umbrella identity predicts {int(predicted[mask])}, "
+                       f"coefficient is {int(table[mask])}"), mask
     edges = int(stray[mask])
     if edges:
         a, b = divmod((edges & -edges).bit_length() - 1, n)
-        return _report("implication_chain", n, False,
-                       f"surplus edge ({a + 1},{b + 1}) is not wildcard", mask)
-    if wildcard[mask] and not incomplete[mask]:
-        return _report("implication_chain", n, False,
-                       "wildcard edge with a complete umbrella", mask)
-    return _report("implication_chain", n, False,
-                   "incomplete umbrella with nonzero coefficient", mask)
+        return False, f"surplus edge ({a + 1},{b + 1}) is not wildcard", mask
+    return False, "wildcard edge with a complete umbrella", mask
 
 
-def _claim_appendix_a(n: int) -> VerificationReport:
+def _claim_appendix_a(n: int) -> Outcome:
     """Structural zero test implies a zero coefficient, over every mask."""
     table = _dense_dual(n)
     qualifying = np.flatnonzero((_kernels.truth_table(n) != 0) & ~_kernels.mc_table(n))
@@ -491,11 +461,9 @@ def _claim_appendix_a(n: int) -> VerificationReport:
     bad = flagged[table[flagged] != 0]
     if bad.size:
         mask = int(bad[0])
-        return _report("appendix_a", n, False,
-                       f"flagged graph has coefficient {int(table[mask])}", mask)
-    return _report("appendix_a", n, True,
-                   f"exhaustive: {flagged.size}/{qualifying.size} qualifying graphs "
-                   f"flagged, all with zero coefficient")
+        return False, f"flagged graph has coefficient {int(table[mask])}", mask
+    return True, (f"exhaustive: {flagged.size}/{qualifying.size} qualifying graphs "
+                  f"flagged, all with zero coefficient")
 
 
 _HAND_BOUNDS = {
@@ -506,49 +474,43 @@ _HAND_BOUNDS = {
 _BOUNDS_TOL = 1e-12
 
 
-def _claim_bounds(n: int) -> VerificationReport:
+def _claim_bounds(n: int) -> Outcome:
+    """Decision-tree lower bounds match hand values."""
     report = bpm.bounds_report(n)
     if report.deg2_value != n * n or report.xor_lb != n * n:
-        return _report("bounds", n, False,
-                       f"GF(2) degree {report.deg2_value} != {n * n}")
+        return False, f"GF(2) degree {report.deg2_value} != {n * n}"
     hand = _HAND_BOUNDS.get(n)
     if hand is not None:
         for field, want in hand.items():
             got = getattr(report, field)
             if abs(got - want) > _BOUNDS_TOL:
-                return _report("bounds", n, False,
-                               f"{field} = {got!r} differs from hand value {want!r}")
-    return _report("bounds", n, True,
-                   f"deg2 = n^2 = {n * n}; and_lb = {report.and_lb:.12g}, "
-                   f"or_lb = {report.or_lb_factorial:.12g} as expected")
+                return False, f"{field} = {got!r} differs from hand value {want!r}"
+    return True, (f"deg2 = n^2 = {n * n}; and_lb = {report.and_lb:.12g}, "
+                  f"or_lb = {report.or_lb_factorial:.12g} as expected")
 
 
-def _claim_counting(n: int) -> VerificationReport:
+def _claim_counting(n: int) -> Outcome:
     """Counting formula vs exhaustive classification, plus the small-number
     facts the formulas rest on."""
     formula = bpm.totally_ordered_count(n)
     exhaustive = int(np.count_nonzero(_total_order_codes(n)))
     if formula != exhaustive:
-        return _report("counting", n, False,
-                       f"formula {formula} != exhaustive {exhaustive}")
+        return False, f"formula {formula} != exhaustive {exhaustive}"
     if bpm.stirling2(4, 2) != 7 or bpm.fubini(3) != 13 or not bpm.fubini(3) < 4 ** 3:
-        return _report("counting", n, False, "small Stirling/Fubini values wrong")
-    return _report("counting", n, True,
-                   f"{formula} totally ordered graphs by formula == exhaustive count")
+        return False, "small Stirling/Fubini values wrong"
+    return True, f"{formula} totally ordered graphs by formula == exhaustive count"
 
 
-def _claim_hvc_witness(n: int) -> VerificationReport:
+def _claim_hvc_witness(n: int) -> Outcome:
+    """The dense Hall-violator-covered witness and its up-set."""
     witness = bpm.hvc_lower_bound_witness(n)  # self-checks HVC and the up-set
     k = n // 2
     expected_edges = n * n - k * (k + 1)
     if witness.edge_count != expected_edges:
-        return _report("hvc_witness", n, False,
-                       f"witness has {witness.edge_count} edges, "
-                       f"expected {expected_edges}")
+        return False, f"witness has {witness.edge_count} edges, expected {expected_edges}"
     upset_bits = k * (k + 1)
-    return _report("hvc_witness", n, True,
-                   f"witness with {witness.edge_count} edges pins a covered "
-                   f"up-set of 2^{upset_bits} supergraphs")
+    return True, (f"witness with {witness.edge_count} edges pins a covered "
+                  f"up-set of 2^{upset_bits} supergraphs")
 
 
 # ---------------------------------------------------------------------------
@@ -558,45 +520,28 @@ def _claim_hvc_witness(n: int) -> VerificationReport:
 @dataclass(frozen=True)
 class Claim:
     name: str
-    runner: Callable[[int], VerificationReport]
+    runner: Callable[[int], Outcome]
     valid_n: tuple[int, ...]
-    summary: str
 
 
 CLAIMS: dict[str, Claim] = {
     c.name: c for c in [
-        Claim("thm1", _claim_thm1, (1, 2, 3, 4, 5),
-              "closed-form primal polynomial == interpolation oracle"),
-        Claim("n2_closed_form", _claim_n2_closed_form, (2,),
-              "the reference n=2 polynomial"),
-        Claim("appendix_b", _claim_appendix_b, (3,),
-              "n=3 dual polynomial matches the golden transcription"),
-        Claim("thm2_strict", _claim_thm2_strict, (2, 3, 4),
-              "strictly totally ordered graphs have coefficient (-1)^(n+1)"),
-        Claim("thm2_nonordered", _claim_thm2_nonordered, (2, 3, 4),
-              "non-totally-ordered graphs have coefficient 0"),
-        Claim("dual_count", _claim_dual_count, (2, 3, 4),
-              "(n!)^2 <= dual monomial count < (n+2)^(2n+2)"),
-        Claim("lattice", _claim_lattice, (1, 2, 3),
-              "Eulerian lattice: ranks, Moebius numbers, axioms"),
-        Claim("fourier", _claim_fourier, (2, 3),
-              "elementary Fourier coefficients and the basis change"),
-        Claim("parity", _claim_parity, (1, 2, 3, 4),
-              "odd counts of matchable and matching-covered graphs"),
-        Claim("probability", _claim_probability, (2, 3, 4),
-              "exact matching probability, two routes"),
-        Claim("dual_spot", _claim_dual_spot, (2, 3, 4),
-              "spot dual coefficients: biclique, violators, MC graphs"),
-        Claim("implication_chain", _claim_implication_chain, (2, 3),
-              "surplus => wildcard => incomplete umbrella => zero"),
-        Claim("appendix_a", _claim_appendix_a, (3, 4),
-              "structural zero certificates imply zero coefficients"),
-        Claim("bounds", _claim_bounds, (2, 3, 4),
-              "decision-tree lower bounds match hand values"),
-        Claim("counting", _claim_counting, (1, 2, 3, 4),
-              "totally-ordered counting formula vs exhaustive classification"),
-        Claim("hvc_witness", _claim_hvc_witness, (2, 4),
-              "the dense Hall-violator-covered witness and its up-set"),
+        Claim("thm1", _claim_thm1, (1, 2, 3, 4, 5)),
+        Claim("n2_closed_form", _claim_n2_closed_form, (2,)),
+        Claim("appendix_b", _claim_appendix_b, (3,)),
+        Claim("thm2_strict", _claim_thm2_strict, (2, 3, 4)),
+        Claim("thm2_nonordered", _claim_thm2_nonordered, (2, 3, 4)),
+        Claim("dual_count", _claim_dual_count, (2, 3, 4)),
+        Claim("lattice", _claim_lattice, (1, 2, 3)),
+        Claim("fourier", _claim_fourier, (2, 3)),
+        Claim("parity", _claim_parity, (1, 2, 3, 4)),
+        Claim("probability", _claim_probability, (2, 3, 4)),
+        Claim("dual_spot", _claim_dual_spot, (2, 3, 4)),
+        Claim("implication_chain", _claim_implication_chain, (2, 3)),
+        Claim("appendix_a", _claim_appendix_a, (3, 4)),
+        Claim("bounds", _claim_bounds, (2, 3, 4)),
+        Claim("counting", _claim_counting, (1, 2, 3, 4)),
+        Claim("hvc_witness", _claim_hvc_witness, (2, 4)),
     ]
 }
 
@@ -608,9 +553,10 @@ def run_claim(name: str, n: int) -> VerificationReport:
     if n not in claim.valid_n:
         raise ValueError(
             f"claim {name!r} runs at n in {claim.valid_n}, not n={n}")
-    return claim.runner(n)
+    return VerificationReport(name, n, *claim.runner(n))
 
 
 def run_all(n: int) -> list[VerificationReport]:
     """Every claim applicable at side size n, in registry order."""
-    return [c.runner(n) for c in CLAIMS.values() if n in c.valid_n]
+    return [VerificationReport(name, n, *c.runner(n))
+            for name, c in CLAIMS.items() if n in c.valid_n]

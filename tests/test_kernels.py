@@ -199,7 +199,8 @@ class TestChunkDriver:
 class TestExhaustiveN5:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_count_mc(self, threads):
-        assert count_mc(5, threads=threads) == 6_092_721
+        with _kernels.thread_default(threads):
+            assert count_mc(5) == 6_092_721
 
     def test_stream_independent_of_threads(self):
         def masks_and_signs(threads):
@@ -220,7 +221,8 @@ class TestExhaustiveN5:
 
     def test_pm_probability_sign_sum_equals_truth_table_count(self):
         # pm_probability raises unless the signed MC sum equals the direct count
-        assert pm_probability(5, threads=2) * (1 << 25) == int(_kernels.truth_table(5).sum())
+        with _kernels.thread_default(2):
+            assert pm_probability(5) * (1 << 25) == int(_kernels.truth_table(5).sum())
 
 
 class TestRowProfile:

@@ -3,15 +3,18 @@ array tables the lattice claim checks against the scalar join and meet, and
 the implication-chain tables against the scalar umbrella, wildcard and
 surplus functions."""
 
+import dataclasses
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchpoly import BipartiteGraph, bpm, build_lattice, join, meet, mclattice, verify
+from matchpoly import (BipartiteGraph, bpm, build_lattice, join, meet, mclattice, polyalg,
+                       verify)
 from matchpoly.bpm import TotalOrderClass, appendix_a_zero_test, classify_total_order
 from matchpoly.cli import main
 
@@ -102,6 +105,132 @@ class TestClaimFailures:
         report = verify.run_claim("counting", n)
         assert not report.passed
         assert report.detail == f"formula {real + 1} != exhaustive {real}"
+
+
+def failure(name, n):
+    """(detail, counterexample) of a claim that must fail."""
+    report = verify.run_claim(name, n)
+    assert not report.passed
+    return report.detail, report.counterexample
+
+
+def with_coeffs(p, positions, factor):
+    """``p`` with the coefficients at ``positions`` multiplied by ``factor``."""
+    coeffs = p.coeffs.copy()
+    coeffs[positions] *= factor
+    return polyalg.MultilinearPoly(p.n, p.masks, coeffs, p.shared_exponent)
+
+
+class TestThm1Failures:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_term_maps_differ(self, monkeypatch, n):
+        real = polyalg.interpolate
+        dropped = int(real(bpm.bpm_truth(n)).masks[1])
+
+        def fake(table):
+            p = real(table)
+            keep = p.masks != dropped
+            return polyalg.MultilinearPoly(p.n, p.masks[keep], p.coeffs[keep])
+        monkeypatch.setattr(polyalg, "interpolate", fake)
+        assert failure("thm1", n) == ("term maps differ", dropped)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coefficients_differ(self, monkeypatch, n):
+        real = polyalg.interpolate
+        monkeypatch.setattr(polyalg, "interpolate",
+                            lambda table: with_coeffs(real(table), [-1, 1], 3))
+        masks = bpm.primal_polynomial(n).masks
+        assert failure("thm1", n) == ("coefficients differ", int(masks[1]))
+
+
+@pytest.fixture
+def lattice_with(monkeypatch):
+    """Make build_lattice return the real lattice with fields replaced:
+    lattice_with(n, field=lambda lat: value, ...); returns the real one."""
+    def apply(n, **fields):
+        lat = build_lattice(n)
+        changed = dataclasses.replace(lat, **{k: f(lat) for k, f in fields.items()})
+        monkeypatch.setattr(mclattice, "build_lattice", lambda k: changed)
+        return lat
+    return apply
+
+
+class TestLatticeFailures:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_gap_covers(self, lattice_with, n):
+        lat = lattice_with(n, cover_edges=lambda lat: lat.cover_edges[1:])
+        upper = int(lat.masks[lat.cover_edges[0][1]])
+        assert failure("lattice", n) == (
+            "rank-gap covers differ from no-intermediate covers", upper)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_longest_chain_rank(self, lattice_with, n):
+        def raised(lat):
+            rank = lat.rank.copy()
+            rank[len(rank) // 2] += 1
+            return rank
+        lat = lattice_with(n, rank=raised)
+        i = len(lat) // 2
+        r = int(lat.rank[i])
+        assert failure("lattice", n) == (
+            f"longest-chain rank {r} != chi-based rank {r + 1}", int(lat.masks[i]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_interval_mobius_sum(self, monkeypatch, n):
+        nodes = build_lattice(n).masks.tolist()
+        small, large = nodes[len(nodes) // 3], nodes[-2]
+        real = mclattice.interval_mobius_sum
+        monkeypatch.setattr(mclattice, "interval_mobius_sum",
+                            lambda lat, m: real(lat, m) + (m in (small, large)))
+        assert failure("lattice", n) == ("interval Moebius sum 1 != 0", small)
+
+
+class TestFourierFailures:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_elementary_coefficient(self, monkeypatch, n):
+        masks = np.arange(1 << (n * n))
+        elem = np.flatnonzero(verify._kernels.mc_table(n)
+                              & (verify._kernels.component_counts(n, masks) == 1))
+        small, large = int(elem[len(elem) // 2]), int(elem[-1])
+        real = polyalg.to_fourier
+
+        def fake(p):
+            fp = real(p)
+            return with_coeffs(fp, np.searchsorted(fp.masks, [small, large]), 3)
+        monkeypatch.setattr(polyalg, "to_fourier", fake)
+        want = Fraction(1, 1 << (n * n - 1))
+        assert failure("fourier", n) == (f"elementary coefficient {3 * want} != {want}", small)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_term(self, monkeypatch, n):
+        constant = 1 - 2 * bpm.pm_probability(n)
+        monkeypatch.setattr(bpm, "pm_probability", lambda k: Fraction(1, 3))
+        assert failure("fourier", n) == (
+            f"constant term {constant} != -2*Pr+1 = 1/3", None)
+
+
+class TestDualSpotFailures:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_biclique(self, corrupt, n):
+        little = BipartiteGraph.from_edges(
+            n, [(i, j) for i in range(1, n) for j in range(1, n)]).mask
+        corrupt({little: 5})
+        assert failure("dual_spot", n) == (
+            f"K_{{{n - 1},{n - 1}}} coefficient 5 != {(n - 2) ** 2}", little)
+
+    def test_violator(self, corrupt):
+        violators = [h.mask for h in bpm.enumerate_hall_violators(4)]
+        small, large = violators[len(violators) // 2], violators[-1]
+        corrupt({large: 0, small: 2})
+        assert failure("dual_spot", 4) == ("Hall violator coefficient 2 != 1", small)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matching_covered_non_top(self, corrupt, n):
+        mc = verify._kernels.mc_masks(n)
+        small, large = int(mc[len(mc) // 3]), int(mc[-2])
+        corrupt({large: 2, small: -1})
+        assert failure("dual_spot", n) == (
+            "matching-covered non-top graph with nonzero coefficient", small)
 
 
 class TestImplicationTables:

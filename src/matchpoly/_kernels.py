@@ -19,8 +19,8 @@ automaton over the rows of one graph, and gives a dual coefficient with
 no 2^(n^2) buffer at all; it needs no dense table, so it also runs at
 n = 6 and 7.
 
-Thread counts come from the caller, else from :func:`default_threads`: the
-count scoped by :func:`thread_default` (the CLI's ``--threads``), else
+Sweeps take their thread count from :func:`default_threads`: the count
+scoped by :func:`thread_default` (the CLI's ``--threads``), else
 MATCHPOLY_THREADS, else 1.
 Sweeps run in windows of one chunk per thread and yield in index order, so
 results never depend on scheduling and memory stays bounded by the window.
@@ -79,15 +79,13 @@ def map_chunks(fn: Callable[[int, int], object], total: int, threads: int) -> li
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
-def _stream_chunks(fn: Callable[[int, int], object], total: int,
-                   threads: int | None) -> Iterator:
+def _stream_chunks(fn: Callable[[int, int], object], total: int) -> Iterator:
     """Yield ``fn(lo, hi)`` over [0, total) chunk by chunk, in index order.
 
-    Each window of ``threads`` chunks is one :func:`map_chunks` call, so no
-    more than ``threads`` chunk results are held at once; ``None`` means
-    :func:`default_threads`.
+    Each window of :func:`default_threads` chunks is one :func:`map_chunks`
+    call, so no more than that many chunk results are held at once.
     """
-    t = max(1, default_threads() if threads is None else threads)
+    t = max(1, default_threads())
     window = t << CHUNK_BITS
     for start in range(0, total, window):
         yield from map_chunks(lambda lo, hi: fn(start + lo, start + hi),
@@ -292,21 +290,13 @@ def mc_table(n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def mc_masks(n: int) -> np.ndarray:
-    """Sorted int64 array of all MC_n masks, n <= 4."""
-    out = np.nonzero(mc_table(n))[0].astype(np.int64)
-    out.flags.writeable = False
-    return out
-
-
 def _mc_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     return np.flatnonzero(mc_flags_for_range(n, lo, hi)) + lo
 
 
-def stream_mc_masks(n: int, threads: int | None = None) -> Iterator[np.ndarray]:
+def stream_mc_masks(n: int) -> Iterator[np.ndarray]:
     """Yield sorted int64 arrays of MC_n masks, chunk by chunk."""
-    return _stream_chunks(lambda lo, hi: _mc_chunk(n, lo, hi), 1 << (n * n), threads)
+    return _stream_chunks(lambda lo, hi: _mc_chunk(n, lo, hi), 1 << (n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +366,13 @@ def chi_table(n: int) -> np.ndarray:
 # Matching-covered masks with their primal signs
 # ---------------------------------------------------------------------------
 
-def stream_mc_signs(n: int, threads: int | None = None
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def stream_mc_signs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:func:`stream_mc_masks` with the primal coefficients (-1)^chi (int8);
     the chunk worker runs both the filter and chi, so on the pool threads."""
     def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         mc = _mc_chunk(n, lo, hi)
         return mc, (1 - 2 * (chi_values(n, mc) & 1)).astype(np.int8)
-    return _stream_chunks(chunk, 1 << (n * n), threads)
+    return _stream_chunks(chunk, 1 << (n * n))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, bpm
 from .bitgraph import BipartiteGraph, left_neighborhoods, union_of_perfect_matchings
 from .caps import require_hard
 from .matchcov import is_matching_covered
@@ -97,7 +97,7 @@ def build_lattice(n: int) -> McLattice:
     (-1)^rank; a mismatch would falsify the Eulerian structure and raises.
     """
     require_hard("lattice", n)
-    masks = np.concatenate([np.zeros(1, dtype=np.int64), _kernels.mc_masks(n)])
+    masks = np.concatenate([np.zeros(1, dtype=np.int64), bpm.primal_polynomial(n).masks])
     chi = _kernels.chi_table(n)
     rank = np.zeros(len(masks), dtype=np.int16)
     rank[1:] = chi[masks[1:]].astype(np.int16) + 1

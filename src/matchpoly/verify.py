@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels, bpm, matchcov, mclattice, polyalg
+from . import _kernels, bpm, mclattice, polyalg
 from .bitgraph import BipartiteGraph
 
 
@@ -269,16 +269,15 @@ def _claim_lattice(n: int) -> Outcome:
 
 
 def _claim_fourier(n: int) -> Outcome:
-    """Elementary coefficients, pointwise basis change, and the constant term."""
-    fp = polyalg.to_fourier(bpm.primal_polynomial(n))
+    """Elementary coefficients, constant term, Parseval, n = 2 basis change."""
+    primal = bpm.primal_polynomial(n)
+    fp = polyalg.to_fourier(primal)
     want = Fraction(1, 1 << (n * n - 1))
-    masks = np.arange(1 << (n * n), dtype=np.int64)
-    elem = _kernels.mc_table(n) & (_kernels.component_counts(n, masks) == 1)
-    for mask in np.nonzero(elem)[0].tolist():
-        if fp.coeff(int(mask)) != want:
-            return (False, f"elementary coefficient {fp.coeff(int(mask))} != {want}",
-                    int(mask))
-    n_elem = int(elem.sum())
+    # the primal's masks are MC_n, so the elementary graphs are the connected ones
+    elem = primal.masks[_kernels.component_counts(n, primal.masks) == 1]
+    for mask in elem.tolist():
+        if fp.coeff(mask) != want:
+            return False, f"elementary coefficient {fp.coeff(mask)} != {want}", mask
 
     constant = fp.coeff(0)
     expected_constant = -2 * bpm.pm_probability(n) + 1
@@ -293,17 +292,18 @@ def _claim_fourier(n: int) -> Outcome:
             if got != want_val:
                 return False, (f"basis change wrong at +/-1 point {neg:#x}: "
                                f"{got} != {want_val}"), neg
-        sq = sum(Fraction(int(c), 1 << fp.shared_exponent) ** 2 for _, c in fp.items())
-        if sq != 1:
-            return False, f"Parseval sum {sq} != 1"
-    return True, (f"all {n_elem} elementary graphs have coefficient 2^-(n^2-1); "
+    # a +/-1 function has unit Fourier weight: sum (c / 2^k)^2 == 1
+    squares = sum(c * c for c in fp.coeffs.tolist())
+    if squares != 4 ** fp.shared_exponent:
+        return False, f"Parseval sum {Fraction(squares, 4 ** fp.shared_exponent)} != 1"
+    return True, (f"all {elem.size} elementary graphs have coefficient 2^-(n^2-1); "
                   f"constant term matches -2*Pr+1")
 
 
 def _claim_parity(n: int) -> Outcome:
     """Odd counts of matchable and matching-covered graphs."""
     ones = bpm.bpm_truth(n).popcount()
-    mc = matchcov.count_mc(n)
+    mc = len(bpm.primal_polynomial(n))  # Theorem 1: one term per MC graph
     ok = ones % 2 == 1 and mc % 2 == 1
     return ok, (f"{ones} graphs with a matching (odd: {ones % 2 == 1}), "
                 f"|MC_{n}| = {mc} (odd: {mc % 2 == 1})")
@@ -345,7 +345,7 @@ def _claim_dual_spot(n: int) -> Outcome:
         if not bpm.is_hvc(h):
             return False, "violator not HVC", h.mask
     full = (1 << (n * n)) - 1
-    mc = _kernels.mc_masks(n)
+    mc = bpm.primal_polynomial(n).masks
     inner = mc[mc != full]
     bad = np.nonzero(table[inner] != 0)[0]
     if bad.size:
@@ -402,7 +402,7 @@ def _implication_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     # the umbrella: the MC supergraphs of g with no MC supergraph of g
     # strictly below them
-    nodes = _kernels.mc_masks(n)
+    nodes = bpm.primal_polynomial(n).masks
     sup = (masks[:, None] & ~nodes) == 0
     below = ((nodes[:, None] & ~nodes) == 0) & (nodes[:, None] != nodes)
     umb = sup & ~(sup @ below)

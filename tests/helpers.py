@@ -8,11 +8,22 @@ circularity.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from matchpoly import BipartiteGraph
+
+
+def clear_caches():
+    """Empty every lru cache of the loaded ``matchpoly`` modules, so the next
+    call builds its tables and polynomials from nothing."""
+    for name, module in list(sys.modules.items()):
+        if name == "matchpoly" or name.startswith("matchpoly."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def graphs(n: int):

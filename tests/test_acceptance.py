@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import matchpoly
-from matchpoly import _kernels, bpm, verify
+from matchpoly import verify
 from matchpoly import (
     BipartiteGraph,
     bpm_truth,
@@ -28,6 +28,8 @@ from matchpoly import (
     to_text,
 )
 
+from helpers import clear_caches
+
 
 @contextmanager
 def criterion(number: int, title: str):
@@ -39,19 +41,6 @@ def criterion(number: int, title: str):
     print(f"ACCEPTANCE {number:02d} {title}: PASS")
 
 
-def _clear_caches():
-    _kernels._family_automaton.cache_clear()
-    _kernels._prefix_codes.cache_clear()
-    _kernels._reach_table.cache_clear()
-    _kernels.truth_table.cache_clear()
-    _kernels.mc_table.cache_clear()
-    _kernels.mc_masks.cache_clear()
-    _kernels.chi_table.cache_clear()
-    _kernels._component_automaton.cache_clear()
-    bpm._orbit_tables.cache_clear()
-    verify._dense_dual.cache_clear()
-
-
 def _assert_claim(name: str, n: int):
     report = verify.run_claim(name, n)
     assert report.passed, report.line()
@@ -60,7 +49,7 @@ def _assert_claim(name: str, n: int):
 
 def test_criterion_01_closed_form_equals_interpolation():
     with criterion(1, "primal closed form == interpolation oracle (n <= 4)"):
-        _clear_caches()
+        clear_caches()
         start = time.perf_counter()
         for n in (1, 2, 3):
             assert primal_polynomial(n) == interpolate(bpm_truth(n))

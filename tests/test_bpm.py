@@ -40,7 +40,7 @@ from matchpoly import bpm
 from matchpoly.bpm import appendix_a_zero_flags, total_order_codes
 from matchpoly.verify import run_claim
 
-from helpers import n5_uniform_or_dense, nonempty_graphs, oracle_canonical_form
+from helpers import clear_caches, n5_uniform_or_dense, nonempty_graphs, oracle_canonical_form
 
 # n = 5 examples build the state-code and reach tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -219,6 +219,7 @@ class TestDualPolynomial:
             assert np.all(total_order_codes(n, members) != 0)
 
     def test_orbit_count_mismatch_raises(self, monkeypatch):
+        clear_caches()
         real = totally_ordered_count(3)
         monkeypatch.setattr(bpm, "totally_ordered_count", lambda n: real + 1)
         with pytest.raises(RuntimeError, match="Ferrers orbits cover 230"):

@@ -14,6 +14,8 @@ from matchpoly import _kernels, bpm, cli, mclattice, polyalg
 from matchpoly.cli import main
 from matchpoly.verify import golden_dual3_text
 
+from helpers import clear_caches
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -126,6 +128,7 @@ class TestThreads:
         assert out1 == out2
 
     def test_flag_reaches_every_sweep(self, capsys, monkeypatch):
+        clear_caches()
         monkeypatch.setattr(_kernels, "CHUNK_BITS", 4)  # n = 3: 32 chunks
         monkeypatch.delenv("MATCHPOLY_THREADS", raising=False)
         seen = []

@@ -152,8 +152,9 @@ class TestMcSigns:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stream_matches_masks_kernel(self, n):
-        (mc, signs), = _kernels.stream_mc_signs(n, threads=2)
-        assert np.array_equal(mc, _kernels.mc_masks(n))
+        with _kernels.thread_default(2):
+            (mc, signs), = _kernels.stream_mc_signs(n)
+        assert np.array_equal(mc, np.flatnonzero(_kernels.mc_table(n)))
         assert signs.dtype == np.int8
         assert np.array_equal(signs, (-1) ** (_kernels.chi_table(n)[mc] & 1))
 
@@ -166,21 +167,24 @@ class TestChunkDriver:
         monkeypatch.setattr(_kernels, "CHUNK_BITS", 4)
 
     def test_streams_independent_of_threads(self):
-        masks = list(_kernels.stream_mc_masks(3, threads=1))
-        signs = list(_kernels.stream_mc_signs(3, threads=1))
+        with _kernels.thread_default(1):
+            masks = list(_kernels.stream_mc_masks(3))
+            signs = list(_kernels.stream_mc_signs(3))
         assert len(masks) == len(signs) == 32
-        assert np.array_equal(np.concatenate(masks), _kernels.mc_masks(3))
+        assert np.array_equal(np.concatenate(masks), np.flatnonzero(_kernels.mc_table(3)))
         for threads in (2, 3):
-            for got, want in zip(_kernels.stream_mc_masks(3, threads), masks, strict=True):
-                assert np.array_equal(got, want)
-            for (got_m, got_s), (want_m, want_s) in zip(
-                    _kernels.stream_mc_signs(3, threads), signs, strict=True):
-                assert np.array_equal(got_m, want_m) and np.array_equal(got_s, want_s)
+            with _kernels.thread_default(threads):
+                for got, want in zip(_kernels.stream_mc_masks(3), masks, strict=True):
+                    assert np.array_equal(got, want)
+                for (got_m, got_s), (want_m, want_s) in zip(
+                        _kernels.stream_mc_signs(3), signs, strict=True):
+                    assert np.array_equal(got_m, want_m) and np.array_equal(got_s, want_s)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_unaligned_total(self, threads):
         want = [(lo, min(lo + 16, 100)) for lo in range(0, 100, 16)]
-        assert list(_kernels._stream_chunks(lambda lo, hi: (lo, hi), 100, threads)) == want
+        with _kernels.thread_default(threads):
+            assert list(_kernels._stream_chunks(lambda lo, hi: (lo, hi), 100)) == want
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_holds_at_most_threads_results(self, threads):
@@ -190,8 +194,9 @@ class TestChunkDriver:
         def fn(lo, hi):
             ahead.append(lo // 16 - consumed)
             return lo
-        for _ in _kernels._stream_chunks(fn, 200, threads):
-            consumed += 1
+        with _kernels.thread_default(threads):
+            for _ in _kernels._stream_chunks(fn, 200):
+                consumed += 1
         assert consumed == len(ahead) == 13
         assert max(ahead) <= threads
 
@@ -204,12 +209,16 @@ class TestExhaustiveN5:
 
     def test_stream_independent_of_threads(self):
         def masks_and_signs(threads):
-            blocks = list(_kernels.stream_mc_signs(5, threads=threads))
+            with _kernels.thread_default(threads):
+                blocks = list(_kernels.stream_mc_signs(5))
             return (np.concatenate([m for m, _ in blocks]),
                     np.concatenate([s for _, s in blocks]))
 
-        one = np.concatenate(list(_kernels.stream_mc_masks(5, threads=1)))
-        two = np.concatenate(list(_kernels.stream_mc_masks(5, threads=2)))
+        def masks_only(threads):
+            with _kernels.thread_default(threads):
+                return np.concatenate(list(_kernels.stream_mc_masks(5)))
+
+        one, two = masks_only(1), masks_only(2)
         assert len(one) == 6_092_721
         assert np.array_equal(one, two)
         assert np.all(np.diff(one) > 0)

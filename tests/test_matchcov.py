@@ -222,9 +222,10 @@ class TestExponentialFormula:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_direct_counts(self, n):
         mc = elementary = 0
-        for block in _kernels.stream_mc_masks(n, threads=2):
-            mc += len(block)
-            elementary += int((_kernels.component_counts(n, block) == 1).sum())
+        with _kernels.thread_default(2):
+            for block in _kernels.stream_mc_masks(n):
+                mc += len(block)
+                elementary += int((_kernels.component_counts(n, block) == 1).sum())
         assert (mc, elementary) == (self.MC[n], ELEMENTARY_COUNTS[n])
 
     def test_counts_satisfy_the_identity(self):

@@ -11,8 +11,11 @@ from tracing import COUNTERS, LAYERS, Tracer  # noqa: E402
 from matchpoly import _kernels  # noqa: E402
 from matchpoly.cli import main  # noqa: E402
 
+from helpers import clear_caches  # noqa: E402
+
 
 def test_tracer_counts_mc_filter_masks(capsys):
+    clear_caches()
     tracer = Tracer()
     tracer.install()
     try:
@@ -40,6 +43,7 @@ def test_tracer_sees_every_pool_window(capsys, monkeypatch):
 def test_every_counter_reads_positive(capsys):
     """Each counted kernel runs in one small pass, so a renamed function or
     argument that a counter reads fails here."""
+    clear_caches()
     tracer = Tracer()
     tracer.install()
     try:

@@ -18,6 +18,8 @@ from matchpoly import (BipartiteGraph, bpm, build_lattice, join, meet, mclattice
 from matchpoly.bpm import TotalOrderClass, appendix_a_zero_test, classify_total_order
 from matchpoly.cli import main
 
+from helpers import clear_caches
+
 # sha256 of `verify --n k --claim all` stdout
 VERIFY_ALL_SHA256 = {
     1: "17f1263684e28dfcbb91eb65ba7195ad2f58e12081ecdb0bf871ddd9b9201814",
@@ -25,6 +27,8 @@ VERIFY_ALL_SHA256 = {
     3: "5324e04c5727181421ff63bb6de5eaf700b21cda082faea08bb14650fe7e14a9",
     4: "84759d21c89bd66184e954ec796492412d56b32f7029c680cff914441ba27252",
 }
+# sha256 of `--allow-large verify --n 5` stdout
+VERIFY_N5_SHA256 = "aa76cf396e5af8001a2b5a20d8633964edf9acb52c3cc0aaee282ef1ff606462"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -32,6 +36,37 @@ def test_verify_all_stdout_frozen(capsys, n):
     assert main(["verify", "--n", str(n)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[n]
+
+
+@pytest.mark.large
+def test_verify_n5_stdout_frozen(capsys):
+    assert main(["--allow-large", "verify", "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N5_SHA256
+
+
+def test_claims_share_one_build_per_n(capsys, monkeypatch):
+    """From cold caches, verify --n 4 and then --n 3 run the MC filter over
+    each cube twice (the dense table and the primal polynomial) and walk
+    the Ferrers shapes once per n (the dual polynomial)."""
+    clear_caches()
+    scanned, walked = [], []
+    flags, walk = verify._kernels.mc_flags_for_masks, bpm._ferrers_coefficients
+
+    def count_masks(n, masks):
+        scanned.append(len(masks))
+        return flags(n, masks)
+
+    def count_walks(n):
+        walked.append(n)
+        return walk(n)
+    monkeypatch.setattr(verify._kernels, "mc_flags_for_masks", count_masks)
+    monkeypatch.setattr(bpm, "_ferrers_coefficients", count_walks)
+    for n in (4, 3):
+        assert main(["verify", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert sum(scanned) == 2 * (1 << 16) + 2 * (1 << 9) == 132_096
+    assert walked == [4, 3]
 
 
 def of_class(n, cls):
@@ -201,6 +236,18 @@ class TestFourierFailures:
         want = Fraction(1, 1 << (n * n - 1))
         assert failure("fourier", n) == (f"elementary coefficient {3 * want} != {want}", small)
 
+    def test_parseval(self, monkeypatch):
+        # doubling a coefficient off the elementary graphs and the constant
+        # term leaves every check but Parseval passing
+        masks = np.arange(1 << 9)
+        elem = verify._kernels.mc_table(3) & (verify._kernels.component_counts(3, masks) == 1)
+        fp = polyalg.to_fourier(bpm.primal_polynomial(3))
+        pos = next(i for i, m in enumerate(fp.masks.tolist()) if m and not elem[m])
+        real = polyalg.to_fourier
+        monkeypatch.setattr(polyalg, "to_fourier", lambda p: with_coeffs(real(p), [pos], 2))
+        c = Fraction(int(fp.coeffs[pos]), 1 << fp.shared_exponent)
+        assert failure("fourier", 3) == (f"Parseval sum {1 + 3 * c * c} != 1", None)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_constant_term(self, monkeypatch, n):
         constant = 1 - 2 * bpm.pm_probability(n)
@@ -226,7 +273,7 @@ class TestDualSpotFailures:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matching_covered_non_top(self, corrupt, n):
-        mc = verify._kernels.mc_masks(n)
+        mc = np.flatnonzero(verify._kernels.mc_table(n))
         small, large = int(mc[len(mc) // 3]), int(mc[-2])
         corrupt({large: 2, small: -1})
         assert failure("dual_spot", n) == (

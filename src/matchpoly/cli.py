@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Subcommands: poly, lattice, classify, verify, count, bounds.  All output is
-deterministic (fixed term ordering, floats at 12 significant digits).  Exit
-codes: 0 success, 1 verification failure, 2 usage or parse error, 3 size cap,
-141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
+Subcommands: poly, lattice, classify, summary, verify, count, bounds.  Output
+is deterministic (fixed term ordering, floats at 12 significant digits).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 3 size
+cap, 141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 
 JSON documents are printed byte-for-byte as ``json.dump(doc, indent=2)`` plus a
 newline, but written by ``_write_json``: the document is built first, then its

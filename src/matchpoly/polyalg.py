@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -138,11 +138,6 @@ class MultilinearPoly:
         idx = int(np.searchsorted(self.masks, mask))
         c = int(self.coeffs[idx]) if idx < len(self.masks) and self.masks[idx] == mask else 0
         return Fraction(c, 1 << self.shared_exponent) if self.shared_exponent else c
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """(mask, numerator) pairs, ascending by mask."""
-        for m, c in zip(self.masks, self.coeffs):
-            yield int(m), int(c)
 
     def evaluate_signs(self, negative_mask: int) -> Fraction:
         """Exact value at the +/-1 point whose -1 coordinates are the set bits

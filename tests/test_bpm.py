@@ -33,6 +33,7 @@ from matchpoly import (
     pm_probability,
     primal_polynomial,
     stirling2,
+    to_fourier,
     to_text,
     totally_ordered_count,
 )
@@ -566,6 +567,22 @@ class TestMonomialSummary:
         # the coefficient-4 class: the 4*4 embeddings of the 3x3 biclique
         assert sum(g["monomials"] for g in groups) == DUAL_MONOMIALS[4]
 
+    @pytest.mark.large
+    def test_primal_n5_frozen(self):
+        try:
+            groups = bpm.monomial_summary(primal_polynomial(5))
+        finally:
+            clear_caches()
+        assert groups == [
+            {"coeff": -1, "monomials": 3_046_360, "isomorphism_classes": 271},
+            {"coeff": 1, "monomials": 3_046_361, "isomorphism_classes": 263},
+        ]
+
+    def test_fourier_coefficients_rejected(self):
+        # the numerators of -3/8 and 3/8 are not the coefficients
+        with pytest.raises(ValueError, match="denominator of 2\\^3"):
+            bpm.monomial_summary(to_fourier(primal_polynomial(2)))
+
     def test_canonical_form_invariance(self):
         from matchpoly.bpm import canonical_form
         g = G(3, (1, 1), (1, 2), (2, 3))
@@ -599,6 +616,20 @@ class TestCanonicalForm:
         from matchpoly.bpm import canonical_form
         mask = sum(r << (5 * i) for i, r in enumerate(rows))
         assert canonical_form(BipartiteGraph(5, mask)) == oracle_canonical_form(5, mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_kernel_matches_oracle(self, n):
+        forms = bpm.canonical_forms(n, np.arange(1 << (n * n)))
+        assert forms.dtype == np.uint64
+        assert np.array_equal(forms, [oracle_canonical_form(n, m) for m in range(1 << (n * n))])
+
+    def test_domain_reaches_n8(self):
+        # values of the scalar search over column permutations; at n = 8 a
+        # form takes all 64 bits
+        for n, form in ((6, 0x3f7ffffff), (7, 0x7f7fffffffff)):
+            mask = 2 ** (n * n) - 1 - 2 ** (n * n - 1) - 3
+            assert bpm.canonical_form(BipartiteGraph(n, mask)) == form
+        assert bpm.canonical_form(BipartiteGraph.full(8)) == 2 ** 64 - 1
 
 
 class TestVerifyTheorem:

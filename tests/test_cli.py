@@ -276,6 +276,15 @@ class TestSummary:
         doc = json.loads(out)
         assert [g["coeff"] for g in doc["groups"]] == [-1, 1]
 
+    def test_dual_n5_frozen(self, capsys):
+        try:
+            code, out, _ = run(capsys, "--allow-large", "summary", "--n", "5", "--basis", "dual")
+        finally:
+            clear_caches()
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "c3f870624dcfd72521d60781251f6eb472f882355cc71645585190b172096b63")
+
 
 class TestBounds:
     def test_n2(self, capsys):
@@ -401,6 +410,10 @@ class TestJsonWriter:
          "c99869f9399c216473d8263c575295bc21c64e5ade934090c5311290b68df7b0"),
         (("lattice", "--n", "4", "--format", "json"),
          "25cb4c9b37378b5066ff35dc240d1bdc400ffa18bd368c56257fb6e9174f3800"),
+        (("summary", "--n", "4", "--basis", "primal"),
+         "d315b7b5d468af20b86cc5325517387d131112b034de9619abf0c3b7c90189a4"),
+        (("summary", "--n", "4", "--basis", "dual"),
+         "a98e59af35ce45a0af97095671ffc5325398d72d2036fcc16247cece433e8681"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
     def test_n4_json_frozen(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -21,7 +21,7 @@ from matchpoly.bitgraph import (
     has_pm_mask,
 )
 
-from helpers import n5_uniform_or_dense
+from helpers import clear_caches, n5_uniform_or_dense
 
 # n = 5 examples build the state-code and reach tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -230,8 +230,11 @@ class TestExhaustiveN5:
 
     def test_pm_probability_sign_sum_equals_truth_table_count(self):
         # pm_probability raises unless the signed MC sum equals the direct count
-        with _kernels.thread_default(2):
-            assert pm_probability(5) * (1 << 25) == int(_kernels.truth_table(5).sum())
+        try:
+            with _kernels.thread_default(2):
+                assert pm_probability(5) * (1 << 25) == int(_kernels.truth_table(5).sum())
+        finally:
+            clear_caches()  # the cached n = 5 primal holds about 93 MiB
 
 
 class TestRowProfile:

@@ -249,7 +249,7 @@ class TestFourier:
             t = TruthTable(2, rng.integers(0, 2, size=16).astype(np.uint8))
             f = to_fourier(interpolate(t))
             total = sum(Fraction(num, 1 << f.shared_exponent) ** 2
-                        for _, num in f.items())
+                        for num in f.coeffs.tolist())
             assert total == 1
 
     def test_capped_at_4(self):
@@ -260,7 +260,7 @@ class TestFourier:
         p = MultilinearPoly.from_terms(2, BPM2_TERMS)
         f = to_fourier(p)
         assert f.shared_exponent <= 3
-        assert any(num % 2 for _, num in f.items()) or f.shared_exponent == 0
+        assert any(num % 2 for num in f.coeffs.tolist()) or f.shared_exponent == 0
 
 
 class TestDegrees:

@@ -1,9 +1,9 @@
 """Dense numpy kernels over the 2^(n^2) cube of edge masks.
 
 Bit layout matches :mod:`matchpoly.bitgraph`: masks are integers whose bit
-``(i-1)*n + (j-1)`` is edge ``(i, j)``, so a mask doubles as an index into any
-of the dense tables below.  The tables for n <= 4 are tiny and cached; n = 5
-work (33.5M masks) is chunked so the resident set stays a few hundred MiB.
+``(i-1)*n + (j-1)`` is edge ``(i, j)``, so a mask indexes the cached truth and
+chi tables below; MC membership has no table, as the primal's terms are MC_n.
+n = 5 sweeps (33.5M masks) are chunked so the resident set stays a few hundred MiB.
 
 Two row automata come from one breadth-first builder: a state sums up
 the rows read so far, and a row step is one lookup in T[state, row].  The
@@ -94,6 +94,17 @@ def _stream_chunks(fn: Callable[[int, int], object], total: int) -> Iterator:
 
 def popcount_array(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).astype(np.int64)
+
+
+def sorted_lookup(keys: np.ndarray, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``queries`` sits in the strictly ascending ``keys``:
+    (idx, found), with keys[idx] == query wherever found.  Elsewhere idx is
+    meaningless and may be len(keys)."""
+    queries = np.asarray(queries)
+    idx = np.searchsorted(keys, queries)
+    found = idx < len(keys)
+    found[found] = keys[idx[found]] == queries[found]
+    return idx, found
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +289,6 @@ def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
 def mc_flags_for_range(n: int, lo: int, hi: int) -> np.ndarray:
     """Boolean MC membership for the contiguous mask range [lo, hi)."""
     return mc_flags_for_masks(n, np.arange(lo, hi, dtype=np.uint32))
-
-
-@lru_cache(maxsize=None)
-def mc_table(n: int) -> np.ndarray:
-    """Dense boolean MC_n membership table, n <= 4."""
-    if n > 4:
-        raise ValueError("dense MC tables stop at n=4; use mc_flags_for_range")
-    out = mc_flags_for_range(n, 0, 1 << (n * n))
-    out.flags.writeable = False
-    return out
 
 
 def _mc_chunk(n: int, lo: int, hi: int) -> np.ndarray:

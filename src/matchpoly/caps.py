@@ -45,7 +45,7 @@ CAPS: dict[str, Cap] = {
     "enumerate-mc": Cap(4, 5, "streams 2^(n^2) masks through the MC filter"),
     "lattice": Cap(4, 4, "materializes MC_n plus pairwise cover scans; n=4 -> 7_444 nodes"),
     "lattice-dot": Cap(3, 3, "readability cap; 50 nodes / 135 edges at n=3"),
-    "umbrella": Cap(4, 4, "enumerates MC supergraph masks of the argument"),
+    "umbrella": Cap(4, 4, "filters the primal's MC_n terms for supergraphs of the argument"),
     "verify": Cap(4, 5, "runs every claim valid at n; none is defined above n=5"),
 }
 

@@ -44,10 +44,10 @@ class McLattice:
         return len(self.masks)
 
     def node_index(self, mask: int) -> int:
-        idx = int(np.searchsorted(self.masks, mask))
-        if idx >= len(self.masks) or self.masks[idx] != mask:
+        idx, found = _kernels.sorted_lookup(self.masks, [mask])
+        if not found[0]:
             raise ValueError(f"mask {mask:#x} is not a lattice node")
-        return idx
+        return int(idx[0])
 
     @property
     def top(self) -> int:
@@ -183,11 +183,10 @@ def interval_mobius_sum(lat: McLattice, g: BipartiteGraph | int) -> int:
 # ---------------------------------------------------------------------------
 
 def _mc_supergraph_masks(g: BipartiteGraph) -> np.ndarray:
+    """The primal polynomial's terms (MC_n, Theorem 1) holding every edge of g."""
     require_hard("umbrella", g.n)
-    table = _kernels.mc_table(g.n)
-    free = g.n * g.n - g.edge_count
-    sups = _kernels.supergraph_masks(g.n, g.mask, 0, 1 << free)
-    return sups[table[sups]]
+    nodes = bpm.primal_polynomial(g.n).masks
+    return nodes[(g.mask & ~nodes) == 0]
 
 
 def umbrella(g: BipartiteGraph) -> list[BipartiteGraph]:
@@ -226,15 +225,15 @@ def is_wildcard_edge(g: BipartiteGraph, a: int, b: int) -> bool:
     """True iff dropping (a, b) from any matching-covered supergraph of
     g + (a, b) lands back in MC_n; vacuously true with no such supergraph.
 
-    (a, b) must be a non-edge of g.  Evaluated by scanning supergraph masks
-    against the dense MC table, so n <= 4.  The oracle of the wildcard table
-    of the ``implication_chain`` claim in :mod:`matchpoly.verify`.
+    (a, b) must be a non-edge of g.  MC_n is read as the primal polynomial's
+    nonzero coefficients, so n <= 4.  The oracle of the wildcard table of
+    the ``implication_chain`` claim in :mod:`matchpoly.verify`.
     """
     if g.has_edge(a, b):
         raise ValueError(f"({a},{b}) is an edge of the graph; wildcard edges are non-edges")
     ebit = 1 << ((a - 1) * g.n + (b - 1))
     covered = _mc_supergraph_masks(BipartiteGraph(g.n, g.mask | ebit))
-    return bool(np.all(_kernels.mc_table(g.n)[covered ^ ebit]))
+    return bool(np.all(bpm.primal_polynomial(g.n).coeffs_at(covered ^ ebit) != 0))
 
 
 def is_surplus_edge(g: BipartiteGraph, a: int, b: int) -> bool:

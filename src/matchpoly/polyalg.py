@@ -133,10 +133,16 @@ class MultilinearPoly:
         """Numerators by mask."""
         return {int(m): int(c) for m, c in zip(self.masks, self.coeffs)}
 
+    def coeffs_at(self, masks) -> np.ndarray:
+        """The int64 numerators at ``masks``, 0 where no term sits."""
+        idx, found = _kernels.sorted_lookup(self.masks, masks)
+        out = np.zeros(found.shape, dtype=np.int64)
+        out[found] = self.coeffs[idx[found]]
+        return out
+
     def coeff(self, mask: int) -> int | Fraction:
         """The coefficient at ``mask``: an int when the exponent is 0."""
-        idx = int(np.searchsorted(self.masks, mask))
-        c = int(self.coeffs[idx]) if idx < len(self.masks) and self.masks[idx] == mask else 0
+        c = int(self.coeffs_at([mask])[0])
         return Fraction(c, 1 << self.shared_exponent) if self.shared_exponent else c
 
     def evaluate_signs(self, negative_mask: int) -> Fraction:

@@ -43,18 +43,13 @@ Outcome = tuple[bool, str] | tuple[bool, str, int]
 
 
 @lru_cache(maxsize=None)
-def _dense_dual(n: int) -> np.ndarray:
-    """Read-only table of every dual coefficient, indexed by mask.
+def _dualized(n: int) -> polyalg.MultilinearPoly:
+    """The dual polynomial as :func:`polyalg.dualize` of the primal one.
 
-    Built by :func:`polyalg.dualize` of the primal polynomial, not by
-    :func:`bpm.dual_polynomial`, which assumes Theorem 2: the claims that
-    test Theorem 2 and its consequences read this table.
+    Not :func:`bpm.dual_polynomial`, which assumes Theorem 2: the claims
+    that test Theorem 2 and its consequences read this polynomial.
     """
-    dual = polyalg.dualize(bpm.primal_polynomial(n))
-    table = np.zeros(1 << (n * n), dtype=np.int64)
-    table[dual.masks] = dual.coeffs
-    table.flags.writeable = False
-    return table
+    return polyalg.dualize(bpm.primal_polynomial(n))
 
 
 @lru_cache(maxsize=None)
@@ -82,13 +77,11 @@ def _claim_thm1(n: int) -> Outcome:
     if direct == oracle:
         return True, (f"matching-covered closed form == interpolated polynomial "
                       f"({len(direct)} terms)")
-    if len(direct) != len(oracle) or not np.array_equal(direct.masks, oracle.masks):
-        both = np.union1d(direct.masks, oracle.masks)
-        for m in both.tolist():
-            if direct.coeff(m) != oracle.coeff(m):
-                return False, "term maps differ", m
-    diff = np.nonzero(direct.coeffs != oracle.coeffs)[0]
-    return False, "coefficients differ", int(direct.masks[diff[0]])
+    both = np.union1d(direct.masks, oracle.masks)
+    diff = np.flatnonzero(direct.coeffs_at(both) != oracle.coeffs_at(both))
+    detail = ("coefficients differ" if np.array_equal(direct.masks, oracle.masks)
+              else "term maps differ")
+    return False, detail, int(both[diff[0]])
 
 
 def _claim_n2_closed_form(n: int) -> Outcome:
@@ -126,14 +119,14 @@ def _claim_appendix_b(n: int) -> Outcome:
 def _claim_thm2_strict(n: int) -> Outcome:
     """Every strictly totally ordered graph has dual coefficient (-1)^(n+1),
     and there are exactly (n!)^2 of them."""
-    table = _dense_dual(n)
+    dual = _dualized(n)
     want = (-1) ** (n + 1)
     strict = _nonempty_of_class(n, bpm.TotalOrderClass.STRICTLY_TOTALLY_ORDERED)
-    bad = strict[table[strict] != want]
+    bad = strict[dual.coeffs_at(strict) != want]
     if bad.size:
         mask = int(bad[0])
         return False, (f"strictly ordered graph with coefficient "
-                       f"{int(table[mask])} != {want}"), mask
+                       f"{dual.coeff(mask)} != {want}"), mask
     count = strict.size
     expected = math.factorial(n) ** 2
     if count != expected:
@@ -143,12 +136,12 @@ def _claim_thm2_strict(n: int) -> Outcome:
 
 def _claim_thm2_nonordered(n: int) -> Outcome:
     """Every non-totally-ordered graph has dual coefficient 0."""
-    table = _dense_dual(n)
+    dual = _dualized(n)
     nonordered = _nonempty_of_class(n, bpm.TotalOrderClass.NOT_TOTALLY_ORDERED)
-    bad = nonordered[table[nonordered] != 0]
+    bad = np.intersect1d(dual.masks, nonordered, assume_unique=True)
     if bad.size:
         mask = int(bad[0])
-        return False, f"non-ordered graph with coefficient {int(table[mask])}", mask
+        return False, f"non-ordered graph with coefficient {dual.coeff(mask)}", mask
     return True, f"all {nonordered.size} non-totally-ordered graphs have coefficient 0"
 
 
@@ -183,13 +176,10 @@ def _join_meet_tables(lat: mclattice.McLattice
     the intersection) of every node pair, and where either one is not a
     node (its index there is meaningless)."""
     a, b = lat.masks[:, None], lat.masks[None, :]
-    tables = []
-    outside = np.zeros((len(lat), len(lat)), dtype=bool)
-    for value in (a | b, _kernels.allowed_edge_masks(lat.n, a & b).astype(np.int64)):
-        idx = np.minimum(np.searchsorted(lat.masks, value), len(lat) - 1)
-        outside |= lat.masks[idx] != value
-        tables.append(idx)
-    return tables[0], tables[1], outside
+    joins, in_joins = _kernels.sorted_lookup(lat.masks, a | b)
+    meets, in_meets = _kernels.sorted_lookup(
+        lat.masks, _kernels.allowed_edge_masks(lat.n, a & b).astype(np.int64))
+    return joins, meets, ~(in_joins & in_meets)
 
 
 def _first_axiom_failure(joins: np.ndarray, meets: np.ndarray
@@ -275,9 +265,10 @@ def _claim_fourier(n: int) -> Outcome:
     want = Fraction(1, 1 << (n * n - 1))
     # the primal's masks are MC_n, so the elementary graphs are the connected ones
     elem = primal.masks[_kernels.component_counts(n, primal.masks) == 1]
-    for mask in elem.tolist():
-        if fp.coeff(mask) != want:
-            return False, f"elementary coefficient {fp.coeff(mask)} != {want}", mask
+    bad = elem[fp.coeffs_at(elem) << (n * n - 1) != 1 << fp.shared_exponent]
+    if bad.size:
+        mask = int(bad[0])
+        return False, f"elementary coefficient {fp.coeff(mask)} != {want}", mask
 
     constant = fp.coeff(0)
     expected_constant = -2 * bpm.pm_probability(n) + 1
@@ -320,15 +311,15 @@ def _claim_probability(n: int) -> Outcome:
 def _claim_dual_spot(n: int) -> Outcome:
     """Spot coefficients: K_{n-1,n-1} -> (n-2)^2, Hall violators -> 1,
     matching-covered non-top -> 0."""
-    table = _dense_dual(n)
+    dual = _dualized(n)
     little = BipartiteGraph.from_edges(
         n, [(i, j) for i in range(1, n) for j in range(1, n)])
     want = (n - 2) ** 2
-    if table[little.mask] != want:
-        return False, (f"K_{{{n - 1},{n - 1}}} coefficient {int(table[little.mask])} "
+    if dual.coeff(little.mask) != want:
+        return False, (f"K_{{{n - 1},{n - 1}}} coefficient {dual.coeff(little.mask)} "
                        f"!= {want}"), little.mask
     if bpm.dual_coefficient(little) != want:
-        return (False, "automaton dual coefficient disagrees with the dense table",
+        return (False, "automaton dual coefficient disagrees with the dualized primal",
                 little.mask)
     # permuted embeddings must agree
     reversal = tuple(range(n, 0, -1))
@@ -336,21 +327,21 @@ def _claim_dual_spot(n: int) -> Outcome:
     for sigma, tau in ((reversal, rotation), (rotation, reversal)):
         permuted = BipartiteGraph.from_edges(
             n, [(sigma[i - 1], tau[j - 1]) for i in range(1, n) for j in range(1, n)])
-        if table[permuted.mask] != want:
+        if dual.coeff(permuted.mask) != want:
             return False, "permuted embedding changed the coefficient", permuted.mask
     violators = bpm.enumerate_hall_violators(n)
     for h in violators:
-        if table[h.mask] != 1:
-            return False, f"Hall violator coefficient {int(table[h.mask])} != 1", h.mask
+        if dual.coeff(h.mask) != 1:
+            return False, f"Hall violator coefficient {dual.coeff(h.mask)} != 1", h.mask
         if not bpm.is_hvc(h):
             return False, "violator not HVC", h.mask
     full = (1 << (n * n)) - 1
     mc = bpm.primal_polynomial(n).masks
     inner = mc[mc != full]
-    bad = np.nonzero(table[inner] != 0)[0]
+    bad = inner[dual.coeffs_at(inner) != 0]
     if bad.size:
         return (False, "matching-covered non-top graph with nonzero coefficient",
-                int(inner[bad[0]]))
+                int(bad[0]))
     return True, (f"K_{{{n - 1},{n - 1}}} -> {want}; {len(violators)} violators -> 1; "
                   f"{len(inner)} matching-covered graphs -> 0")
 
@@ -367,7 +358,7 @@ def _implication_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     size = 1 << (n * n)
     masks = np.arange(size, dtype=np.int64)
-    mc = _kernels.mc_table(n)
+    mc = bpm.primal_polynomial(n).coeffs_at(masks) != 0  # Theorem 1: the terms are MC_n
 
     # bit e of bad[h]: h is MC, holds e, and h - e is not MC.  OR-ed over
     # supersets, bit e of bad[g + e] says some MC supergraph of g + e needs e.
@@ -418,9 +409,9 @@ def _claim_implication_chain(n: int) -> Outcome:
     The last link needs no check of its own: an incomplete umbrella has no
     member subset covering every edge, so the identity predicts 0 there.
     """
-    table = _dense_dual(n)
     wildcard, surplus, members = _implication_tables(n)
     full = (1 << (n * n)) - 1
+    table = _dualized(n).coeffs_at(np.arange(full + 1))
     incomplete = np.bitwise_or.reduce(members, axis=1) != full
 
     # inclusion-exclusion over the umbrella reproduces the coefficient: the
@@ -455,13 +446,14 @@ def _claim_implication_chain(n: int) -> Outcome:
 
 def _claim_appendix_a(n: int) -> Outcome:
     """Structural zero test implies a zero coefficient, over every mask."""
-    table = _dense_dual(n)
-    qualifying = np.flatnonzero((_kernels.truth_table(n) != 0) & ~_kernels.mc_table(n))
+    dual = _dualized(n)
+    qualifying = np.setdiff1d(np.flatnonzero(_kernels.truth_table(n)),  # matchable, not MC
+                              bpm.primal_polynomial(n).masks, assume_unique=True)
     flagged = qualifying[bpm.appendix_a_zero_flags(n, qualifying)]
-    bad = flagged[table[flagged] != 0]
+    bad = flagged[dual.coeffs_at(flagged) != 0]
     if bad.size:
         mask = int(bad[0])
-        return False, f"flagged graph has coefficient {int(table[mask])}", mask
+        return False, f"flagged graph has coefficient {dual.coeff(mask)}", mask
     return True, (f"exhaustive: {flagged.size}/{qualifying.size} qualifying graphs "
                   f"flagged, all with zero coefficient")
 

@@ -496,7 +496,8 @@ class TestAppendixA:
 def appendix_a_candidates(n, masks):
     """The matchable masks outside MC_n: the domain of the Appendix-A test."""
     masks = np.asarray(masks, dtype=np.int64)
-    return masks[(_kernels.truth_table(n)[masks] != 0) & ~_kernels.mc_table(n)[masks]]
+    mc = _kernels.mc_flags_for_range(n, 0, 1 << (n * n))
+    return masks[(_kernels.truth_table(n)[masks] != 0) & ~mc[masks]]
 
 
 class TestAppendixAFlags:

@@ -5,14 +5,19 @@ before and after it, through one reach table; the scalar oracles decide each edg
 fresh matching DP, so agreement here is not circular.
 """
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchpoly import BipartiteGraph, _kernels, count_mc, is_matching_covered, pm_probability
+import matchpoly
+from matchpoly import (BipartiteGraph, MultilinearPoly, _kernels, count_mc, is_matching_covered,
+                       pm_probability)
 from matchpoly.bitgraph import (
     allowed_edges,
     connected_components,
@@ -154,7 +159,7 @@ class TestMcSigns:
     def test_stream_matches_masks_kernel(self, n):
         with _kernels.thread_default(2):
             (mc, signs), = _kernels.stream_mc_signs(n)
-        assert np.array_equal(mc, np.flatnonzero(_kernels.mc_table(n)))
+        assert np.array_equal(mc, np.flatnonzero(_kernels.mc_flags_for_range(n, 0, 1 << (n * n))))
         assert signs.dtype == np.int8
         assert np.array_equal(signs, (-1) ** (_kernels.chi_table(n)[mc] & 1))
 
@@ -171,7 +176,8 @@ class TestChunkDriver:
             masks = list(_kernels.stream_mc_masks(3))
             signs = list(_kernels.stream_mc_signs(3))
         assert len(masks) == len(signs) == 32
-        assert np.array_equal(np.concatenate(masks), np.flatnonzero(_kernels.mc_table(3)))
+        assert np.array_equal(np.concatenate(masks),
+                              np.flatnonzero(_kernels.mc_flags_for_range(3, 0, 1 << 9)))
         for threads in (2, 3):
             with _kernels.thread_default(threads):
                 for got, want in zip(_kernels.stream_mc_masks(3), masks, strict=True):
@@ -361,3 +367,42 @@ class TestSmallKernels:
         values[-1] -= 1
         with pytest.raises(OverflowError):
             _kernels.check_transform_headroom(values)
+
+
+def per_n_caches():
+    """Every lru cache of a ``matchpoly`` module that is callable with n
+    alone, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(matchpoly.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"matchpoly.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                params = inspect.signature(value).parameters.values()
+                if [p.name for p in params if p.default is p.empty] == ["n"]:
+                    found[f"{value.__module__}.{value.__qualname__}"] = value
+    return found
+
+
+def arrays_in(value):
+    """The arrays of a cached result: bare, in a tuple or list, or the
+    term arrays of a MultilinearPoly."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, MultilinearPoly):
+        yield from (value.masks, value.coeffs)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def test_per_n_caches_hand_out_read_only_arrays():
+    """A cached result is shared by every caller at that n, so no array in
+    it may be writeable."""
+    caches = per_n_caches()
+    assert {"matchpoly.bpm.primal_polynomial", "matchpoly.verify._dualized",
+            "matchpoly._kernels.truth_table"} <= caches.keys()
+    for name, fn in caches.items():
+        for arr in arrays_in(fn(3)):
+            assert not arr.flags.writeable, name

@@ -202,7 +202,7 @@ class TestEarDecomposition:
 
     def test_every_elementary_n4(self):
         masks = np.arange(1 << 16)
-        elementary = np.flatnonzero(_kernels.mc_table(4)
+        elementary = np.flatnonzero(_kernels.mc_flags_for_range(4, 0, 1 << 16)
                                     & (_kernels.component_counts(4, masks) == 1))
         assert len(elementary) == ELEMENTARY_COUNTS[4]
         for mask in elementary.tolist():

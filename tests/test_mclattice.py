@@ -96,6 +96,16 @@ class TestBuildLattice:
         with pytest.raises(ValueError):
             lat.node_index(0b0001)
 
+    def test_node_index_every_mask_n3(self):
+        lat = build_lattice(3)
+        nodes = {m: i for i, m in enumerate(lat.masks.tolist())}
+        for mask in range(1 << 9):
+            if mask in nodes:
+                assert lat.node_index(mask) == nodes[mask]
+            else:
+                with pytest.raises(ValueError, match=f"^mask {mask:#x} is not a lattice node$"):
+                    lat.node_index(mask)
+
 
 class TestJoinMeet:
     def test_join_of_matchings_is_k22(self):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchpoly import (
     BipartiteGraph,
@@ -370,6 +372,39 @@ class TestValidation:
     def test_from_terms_drops_zeros(self):
         p = MultilinearPoly.from_terms(2, {1: 0, 2: 5})
         assert p.terms == {2: 5}
+
+
+def lookup_polys():
+    """Hypothesis strategy of n = 3 polynomials: the zero polynomial, random
+    integer term maps, and Fourier expansions of one monomial, whose
+    numerators sit on the monomial's subsets only."""
+    masks = st.integers(0, 511)
+    terms = st.dictionaries(masks, st.integers(-9, 9).filter(bool), max_size=40)
+    return (st.just(MultilinearPoly.zero(3))
+            | terms.map(lambda t: MultilinearPoly.from_terms(3, t))
+            | masks.map(lambda m: to_fourier(MultilinearPoly.from_terms(3, {m: 1}))))
+
+
+class TestCoeffsAt:
+    @given(lookup_polys(), st.lists(st.integers(0, 511), max_size=30), st.data())
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    def test_matches_the_term_map(self, p, absent, data):
+        present = data.draw(st.lists(st.sampled_from(p.masks.tolist()), max_size=10)
+                            if len(p) else st.just([]))
+        queries = absent + present
+        terms = p.terms
+        got = p.coeffs_at(queries)
+        assert got.dtype == np.int64
+        assert got.tolist() == [terms.get(m, 0) for m in queries]
+        den = 1 << p.shared_exponent
+        assert [p.coeff(m) for m in queries] == [
+            Fraction(terms.get(m, 0), den) if den > 1 else terms.get(m, 0) for m in queries]
+
+    def test_keeps_the_query_shape(self):
+        p = MultilinearPoly.from_terms(2, BPM2_TERMS)
+        queries = np.arange(16).reshape(4, 4)
+        assert p.coeffs_at(queries).tolist() == [
+            [BPM2_TERMS.get(int(m), 0) for m in row] for row in queries]
 
 
 class TestSharedExponent:

@@ -47,8 +47,8 @@ def test_verify_n5_stdout_frozen(capsys):
 
 def test_claims_share_one_build_per_n(capsys, monkeypatch):
     """From cold caches, verify --n 4 and then --n 3 run the MC filter over
-    each cube twice (the dense table and the primal polynomial) and walk
-    the Ferrers shapes once per n (the dual polynomial)."""
+    each cube once (the primal polynomial, which every MC reader reads) and
+    walk the Ferrers shapes once per n (the dual polynomial)."""
     clear_caches()
     scanned, walked = [], []
     flags, walk = verify._kernels.mc_flags_for_masks, bpm._ferrers_coefficients
@@ -65,7 +65,7 @@ def test_claims_share_one_build_per_n(capsys, monkeypatch):
     for n in (4, 3):
         assert main(["verify", "--n", str(n)]) == 0
     capsys.readouterr()
-    assert sum(scanned) == 2 * (1 << 16) + 2 * (1 << 9) == 132_096
+    assert sum(scanned) == (1 << 16) + (1 << 9) == 66_048
     assert walked == [4, 3]
 
 
@@ -78,24 +78,24 @@ def appendix_a_flagged(n, limit=50):
     """The first ``limit`` masks the appendix_a claim tests and the scalar
     test flags."""
     truth = verify._kernels.truth_table(n)
-    mc = verify._kernels.mc_table(n)
+    mc = set(bpm.primal_polynomial(n).masks.tolist())
     return list(itertools.islice(
-        (m for m in range(1, 1 << (n * n)) if truth[m] and not mc[m]
+        (m for m in range(1, 1 << (n * n)) if truth[m] and m not in mc
          and appendix_a_zero_test(BipartiteGraph(n, m))), limit))
 
 
 @pytest.fixture
 def corrupt(monkeypatch):
-    """Set dense dual coefficients: corrupt({mask: value, ...})."""
+    """Set coefficients of the dualized primal: corrupt({mask: value, ...});
+    a value of 0 deletes the term."""
     def apply(values):
-        real = verify._dense_dual
+        real = verify._dualized
 
         def fake(n):
-            table = real(n).copy()
-            for mask, value in values.items():
-                table[mask] = value
-            return table
-        monkeypatch.setattr(verify, "_dense_dual", fake)
+            terms = real(n).terms
+            terms.update(values)
+            return polyalg.MultilinearPoly.from_terms(n, terms)
+        monkeypatch.setattr(verify, "_dualized", fake)
     return apply
 
 
@@ -224,7 +224,7 @@ class TestFourierFailures:
     @pytest.mark.parametrize("n", [2, 3])
     def test_elementary_coefficient(self, monkeypatch, n):
         masks = np.arange(1 << (n * n))
-        elem = np.flatnonzero(verify._kernels.mc_table(n)
+        elem = np.flatnonzero(verify._kernels.mc_flags_for_range(n, 0, 1 << (n * n))
                               & (verify._kernels.component_counts(n, masks) == 1))
         small, large = int(elem[len(elem) // 2]), int(elem[-1])
         real = polyalg.to_fourier
@@ -240,7 +240,8 @@ class TestFourierFailures:
         # doubling a coefficient off the elementary graphs and the constant
         # term leaves every check but Parseval passing
         masks = np.arange(1 << 9)
-        elem = verify._kernels.mc_table(3) & (verify._kernels.component_counts(3, masks) == 1)
+        elem = (verify._kernels.mc_flags_for_range(3, 0, 1 << 9)
+                & (verify._kernels.component_counts(3, masks) == 1))
         fp = polyalg.to_fourier(bpm.primal_polynomial(3))
         pos = next(i for i, m in enumerate(fp.masks.tolist()) if m and not elem[m])
         real = polyalg.to_fourier
@@ -273,7 +274,7 @@ class TestDualSpotFailures:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matching_covered_non_top(self, corrupt, n):
-        mc = np.flatnonzero(verify._kernels.mc_table(n))
+        mc = bpm.primal_polynomial(n).masks
         small, large = int(mc[len(mc) // 3]), int(mc[-2])
         corrupt({large: 2, small: -1})
         assert failure("dual_spot", n) == (

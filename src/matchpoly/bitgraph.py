@@ -156,8 +156,6 @@ def has_pm_mask(n: int, mask: int) -> bool:
     matched onto exactly ``S``.  O(2^n * n), branch-free enough to sit in the
     inner loop of whole-cube scans.
     """
-    if n == 0:
-        return True
     rows = _rows(n, mask)
     size = 1 << n
     f = bytearray(size)
@@ -223,7 +221,7 @@ def allowed_edges(g: BipartiteGraph) -> int:
         if not (g.mask >> b) & 1:
             continue
         i, j = b // n + 1, b % n + 1
-        if n == 1 or has_pm_mask(n - 1, delete_vertex_pair(n, g.mask, i, j)):
+        if has_pm_mask(n - 1, delete_vertex_pair(n, g.mask, i, j)):
             out |= 1 << b
     return out
 

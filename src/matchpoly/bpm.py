@@ -181,20 +181,15 @@ def classify_total_order(g: BipartiteGraph) -> TotalOrderClass:
 
 
 def total_order_codes(n: int, masks: np.ndarray) -> np.ndarray:
-    """:func:`classify_total_order` over a vector of masks, n <= 5, as int8
+    """:func:`classify_total_order` over a vector of masks, n <= 8, as int8
     codes in :class:`TotalOrderClass` order: 0 not totally ordered,
     1 strict, 2 non-strict.
 
-    Each row is keyed by (degree << n) | row, so one sort per mask puts the
-    rows in degree order; the chain test then runs on neighbouring rows.
+    Rows are sorted by their integer value, descending.  A subset is never
+    larger as an integer, so a chain sorts into containment order and equal
+    neighbours are equal sets; the chain test then runs on neighbouring rows.
     """
-    rows = _kernels.mask_rows(n, masks)
-    keys = np.bitwise_count(rows)
-    keys <<= np.uint8(n)
-    keys |= rows
-    keys.sort(axis=-1)
-    keys &= np.uint8((1 << n) - 1)
-    rows = keys[..., ::-1]  # degree descending
+    rows = np.sort(_kernels.mask_rows(n, masks), axis=-1)[..., ::-1]
     hi, lo = rows[..., :-1], rows[..., 1:]
     chain = ~np.any(lo & ~hi, axis=-1)
     strict = (rows[..., -1] != 0) & ~np.any(lo == hi, axis=-1)

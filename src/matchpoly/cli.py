@@ -5,6 +5,12 @@ is deterministic (fixed term ordering, floats at 12 significant digits).
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 3 size
 cap, 141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 
+Each subcommand is declared once, in ``_parser``, with its handler attached;
+the parser is built on the first ``main`` call and reused by every later call
+in the process.  ``poly --basis`` values are the keys of ``_BASES``, which
+``summary`` also reads for its primal and dual, and ``count --what`` values
+are the keys of ``_COUNTS``.
+
 JSON documents are printed byte-for-byte as ``json.dump(doc, indent=2)`` plus a
 newline, but written by ``_write_json``: the document is built first, then its
 long lists go out one f-string per element, joined in batches.
@@ -13,13 +19,14 @@ long lists go out one f-string per element, joined in batches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import bpm, caps, matchcov, mclattice, polyalg, verify
 from ._kernels import default_threads, thread_default
-from .bitgraph import MAX_SIDE, cyclomatic_number, is_connected_spanning, parse_graph
+from .bitgraph import MAX_SIDE, connected_components, parse_graph
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -87,7 +94,32 @@ def _write_json(doc: dict, items: dict | None = None) -> None:
     write("\n}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# basis -> the polynomial in that basis at side size n.  Each entry looks its
+# builder up through the module at call time, so a rebinding of the module
+# attribute (perfbench's tracer does this) reaches it.
+_BASES = {
+    "primal": lambda n: bpm.primal_polynomial(n),
+    "dual": lambda n: bpm.dual_polynomial(n),
+    "fourier": lambda n: polyalg.to_fourier(bpm.primal_polynomial(n)),
+}
+
+# count --what -> (cap key, the count at n).  Rows without a cap key rely on
+# their library function's own domain check.
+_COUNTS = {
+    "mc": ("enumerate-mc", lambda n: matchcov.count_mc(n)),
+    "pm-graphs": ("truth-table", lambda n: bpm.bpm_truth(n).popcount()),
+    # the primal has one term per MC mask
+    "monomials-primal": ("poly-primal", lambda n: matchcov.count_mc(n)),
+    "monomials-dual": ("poly-dual", lambda n: len(bpm.dual_polynomial(n))),
+    "totally-ordered": (None, lambda n: bpm.totally_ordered_count(n)),
+    "hall-violators": (None, lambda n: len(bpm.enumerate_hall_violators(n))),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later
+    one: building it costs several times what parsing a command line does."""
     parser = argparse.ArgumentParser(
         prog="matchpoly",
         description="Exact polynomial representations of bipartite perfect matching.")
@@ -98,50 +130,41 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="lift the default n<=4 caps up to the hard caps (n=5)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poly", help="print a polynomial of the matching function")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--basis", choices=("primal", "dual", "fourier"), default="primal")
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("poly", _cmd_poly, "print a polynomial of the matching function")
+    p.add_argument("--basis", choices=tuple(_BASES), default="primal")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("lattice", help="print the matching-covered lattice")
-    p.add_argument("--n", type=int, required=True)
+    p = command("lattice", _cmd_lattice, "print the matching-covered lattice")
     p.add_argument("--format", choices=("dot", "json"), default="json")
 
-    p = sub.add_parser("classify", help="one-line structural report for a graph")
-    p.add_argument("--n", type=int, required=True)
+    p = command("classify", _cmd_classify, "one-line structural report for a graph")
     p.add_argument("--graph", type=str, required=True,
                    help="edge list like 1-1,2-2 or a hex mask like 0x9")
 
-    p = sub.add_parser("summary", help="monomials grouped by coefficient, with "
-                                       "isomorphism-class counts")
-    p.add_argument("--n", type=int, required=True)
+    p = command("summary", _cmd_summary,
+                "monomials grouped by coefficient, with isomorphism-class counts")
     p.add_argument("--basis", choices=("primal", "dual"), default="dual")
 
-    p = sub.add_parser("verify", help="run named verification claims")
-    p.add_argument("--n", type=int, required=True)
+    p = command("verify", _cmd_verify, "run named verification claims")
     p.add_argument("--claim", type=str, default="all",
                    help="claim name or 'all' (known: %s)" % ", ".join(sorted(verify.CLAIMS)))
 
-    p = sub.add_parser("count", help="print one exact count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--what", required=True,
-                   choices=("mc", "pm-graphs", "monomials-primal",
-                            "monomials-dual", "totally-ordered", "hall-violators"))
+    p = command("count", _cmd_count, "print one exact count")
+    p.add_argument("--what", required=True, choices=tuple(_COUNTS))
 
-    p = sub.add_parser("bounds", help="decision-tree lower bound report")
-    p.add_argument("--n", type=int, required=True)
-
+    command("bounds", _cmd_bounds, "decision-tree lower bound report")
     return parser
 
 
 def _cmd_poly(args) -> int:
     caps.require(f"poly-{args.basis}", args.n, args.allow_large)
-    if args.basis == "primal":
-        poly = bpm.primal_polynomial(args.n)
-    elif args.basis == "dual":
-        poly = bpm.dual_polynomial(args.n)
-    else:
-        poly = polyalg.to_fourier(bpm.primal_polynomial(args.n))
+    poly = _BASES[args.basis](args.n)
     if args.format == "text":
         sys.stdout.write(polyalg.to_text(poly))
     else:
@@ -164,12 +187,13 @@ def _cmd_classify(args) -> int:
     caps.require_domain("classify", args.n)
     g = parse_graph(args.n, args.graph)
     cls = bpm.classify_total_order(g)
+    components = len(connected_components(g))
     if g.is_empty:
         mc = elem = False
     else:
         mc = matchcov.is_matching_covered(g)
-        elem = mc and is_connected_spanning(g)
-    chi = cyclomatic_number(g)
+        elem = mc and components == 1
+    chi = g.edge_count - 2 * g.n + components  # |E| - |V| + |C|, as cyclomatic_number
     fields = [
         f"n={g.n}",
         f"graph={g.to_hex()}",
@@ -197,12 +221,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_summary(args) -> int:
     caps.require(f"poly-{args.basis}", args.n, args.allow_large)
-    if args.basis == "primal":
-        poly = bpm.primal_polynomial(args.n)
-    else:
-        poly = bpm.dual_polynomial(args.n)
     _write_json({"n": args.n, "basis": args.basis,
-                 "groups": bpm.monomial_summary(poly)})
+                 "groups": bpm.monomial_summary(_BASES[args.basis](args.n))})
     return EXIT_OK
 
 
@@ -220,24 +240,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    n = args.n
-    if args.what == "mc":
-        caps.require("enumerate-mc", n, args.allow_large)
-        value = matchcov.count_mc(n)
-    elif args.what == "pm-graphs":
-        caps.require("truth-table", n, args.allow_large)
-        value = bpm.bpm_truth(n).popcount()
-    elif args.what == "monomials-primal":
-        caps.require("poly-primal", n, args.allow_large)
-        value = matchcov.count_mc(n)  # the primal has one term per MC mask
-    elif args.what == "monomials-dual":
-        caps.require("poly-dual", n, args.allow_large)
-        value = len(bpm.dual_polynomial(n))
-    elif args.what == "totally-ordered":
-        value = bpm.totally_ordered_count(n)
-    else:
-        value = len(bpm.enumerate_hall_violators(n))
-    print(value)
+    cap, count = _COUNTS[args.what]
+    if cap is not None:
+        caps.require(cap, args.n, args.allow_large)
+    print(count(args.n))
     return EXIT_OK
 
 
@@ -247,19 +253,8 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "poly": _cmd_poly,
-    "lattice": _cmd_lattice,
-    "classify": _cmd_classify,
-    "summary": _cmd_summary,
-    "verify": _cmd_verify,
-    "count": _cmd_count,
-    "bounds": _cmd_bounds,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.threads is None:
         args.threads = default_threads()
@@ -267,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         with thread_default(args.threads):  # every sweep of this command reads it
-            code = _COMMANDS[args.command](args)
+            code = args.handler(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
         return code
     except ResourceLimitError as exc:

@@ -142,6 +142,10 @@ class TestAllowedEdges:
         g = BipartiteGraph.full(2)
         assert allowed_edges(g) == g.mask
 
+    def test_n1(self):
+        # deleting the only vertex pair leaves K_{0,0}: its empty matching is perfect
+        assert [allowed_edges(BipartiteGraph(1, m)) for m in (0, 1)] == [0, 1]
+
     def test_subset_of_edges(self):
         for g in graphs(3):
             assert allowed_edges(g) & ~g.mask == 0

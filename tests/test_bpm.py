@@ -163,13 +163,13 @@ def scalar_codes(n, masks):
 
 
 @st.composite
-def n5_chains(draw):
-    """Totally ordered n = 5 masks: nested rows (a column order and a degree
-    per row), strict or not, with the rows shuffled."""
-    cols = draw(st.permutations(range(5)))
-    degrees = draw(st.lists(st.integers(0, 5), min_size=5, max_size=5))
+def chains(draw, n):
+    """Totally ordered masks: nested rows (a column order and a degree per
+    row), strict or not, with the rows shuffled."""
+    cols = draw(st.permutations(range(n)))
+    degrees = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
     rows = [sum(1 << c for c in cols[:d]) for d in degrees]
-    return sum(r << (5 * i) for i, r in enumerate(rows))
+    return sum(r << (n * i) for i, r in enumerate(rows))
 
 
 class TestTotalOrderCodes:
@@ -179,11 +179,21 @@ class TestTotalOrderCodes:
         assert codes.dtype == np.int8
         assert codes.tolist() == scalar_codes(n, range(1 << (n * n)))
 
-    @given(st.lists(n5_uniform_or_dense() | n5_chains(), min_size=1, max_size=100))
+    @given(st.lists(n5_uniform_or_dense() | chains(5), min_size=1, max_size=100))
     @PROPERTY
     def test_n5_uniform_dense_and_chains(self, masks):
         codes = total_order_codes(5, np.array(masks, dtype=np.int64))
         assert codes.tolist() == scalar_codes(5, masks)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @given(data=st.data())
+    @PROPERTY
+    def test_chains_up_to_max_side(self, n, data):
+        # at n = 6, 7 a sort key of (degree << n) | row no longer fits a uint8
+        masks = data.draw(st.lists(chains(n) | st.integers(0, (1 << (n * n)) - 1),
+                                   min_size=1, max_size=100))
+        codes = total_order_codes(n, np.array(masks, dtype=np.uint64))
+        assert codes.tolist() == scalar_codes(n, masks)
 
 
 class TestDualPolynomial:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -302,6 +303,45 @@ class TestBounds:
         assert doc["xor_lb"] is None
         assert doc["monomials_dual"] is None
         assert doc["or_lb_factorial"] > 0
+
+
+class TestOneProcess:
+    """Many commands through ``main`` in one process, as a server or the
+    benchmark worker runs them."""
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run(capsys, "bounds", "--n", "2")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        code, out, _ = run(capsys, "count", "--n", "2", "--what", "mc")
+        assert code == 0 and out == "3\n"
+        assert built == []
+
+    def test_allow_large_does_not_carry_over(self, capsys):
+        graph = ("classify", "--n", "5", "--graph", "0x7BDEF")
+        _, out, _ = run(capsys, "--allow-large", *graph)
+        assert "dual_coeff=9" in out
+        code, out, _ = run(capsys, *graph)
+        assert code == 0 and "dual_coeff=unavailable" in out
+
+    def test_format_does_not_carry_over(self, capsys):
+        _, out, _ = run(capsys, "poly", "--n", "2", "--format", "json")
+        assert json.loads(out)["basis"] == "primal"
+        code, out, _ = run(capsys, "poly", "--n", "2")
+        assert code == 0 and out.startswith("+ x_{1,2} x_{2,1}\n")
+
+    def test_runs_after_rejected_threads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "0", "bounds", "--n", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "count", "--n", "3", "--what", "mc")
+        assert code == 0 and out == "49\n" and err == ""
 
 
 class TestUsage:

@@ -11,9 +11,10 @@ in the process.  ``poly --basis`` values are the keys of ``_BASES``, which
 ``summary`` also reads for its primal and dual, and ``count --what`` values
 are the keys of ``_COUNTS``.
 
-JSON documents are printed byte-for-byte as ``json.dump(doc, indent=2)`` plus a
-newline, but written by ``_write_json``: the document is built first, then its
-long lists go out one f-string per element, joined in batches.
+Every JSON document is ``json.dumps(doc, indent=2)`` plus a newline.  ``poly``
+and ``lattice`` build their object, then hand ``sys.stdout.write`` to its
+writer, which renders it from its arrays in batches; ``summary`` and
+``bounds`` print ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 
 from . import bpm, caps, matchcov, mclattice, polyalg, verify
 from ._kernels import default_threads, thread_default
-from .bitgraph import MAX_SIDE, connected_components, parse_graph
+from .bitgraph import connected_components, parse_graph
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -34,65 +35,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what shells report for a writer killed by it
-
-# Elements of a long JSON list joined per stdout write.  A batch's strings (the
-# elements, their join, its encoding) must fit in memory the document build
-# freed: on the n=4 Fourier document (448 bytes a term) batches of 128 to 1024
-# terms raised peak RSS by 128 KiB above the build's, 64 did not, and all of
-# them write it in the same 0.06 s.  As one write it peaks 69 MiB higher.
-_JSON_BATCH = 64
-
-
-# _EDGE_JSON[i][j] = the text of edge [i, j] inside a term: a lookup instead of
-# a format per edge, since the n=4 Fourier document alone has 524,288 edges.
-_EDGE_JSON = [[f"        [\n          {i},\n          {j}\n        ]"
-               for j in range(MAX_SIDE + 1)] for i in range(MAX_SIDE + 1)]
-
-
-def _term_json(term: dict) -> str:
-    edges = ",\n".join([_EDGE_JSON[i][j] for i, j in term["edges"]])
-    edges = f"[\n{edges}\n      ]" if edges else "[]"
-    return (f'    {{\n      "mask": "{term["mask"]}",\n      "edges": {edges},'
-            f'\n      "coeff": {term["coeff"]}\n    }}')
-
-
-def _node_json(node: dict) -> str:
-    return (f'    {{\n      "mask": "{node["mask"]}",\n      "rank": {node["rank"]},'
-            f'\n      "mobius": {node["mobius"]}\n    }}')
-
-
-def _pair_json(pair: list) -> str:
-    return f"    [\n      {pair[0]},\n      {pair[1]}\n    ]"
-
-
-_POLY_ITEMS = {"terms": _term_json}
-_LATTICE_ITEMS = {"nodes": _node_json, "cover_edges": _pair_json}
-
-
-def _write_json(doc: dict, items: dict | None = None) -> None:
-    r"""Write ``json.dumps(doc, indent=2) + "\n"`` to stdout for a non-empty
-    dict.  ``items`` maps a key of ``doc`` whose value is a list to the
-    template that renders one element, at its indent, exactly as ``json``
-    would; those lists are written ``_JSON_BATCH`` elements per write.  Every
-    other value goes through ``json.dumps``."""
-    items = items or {}
-    write = sys.stdout.write
-    sep = "{\n  "
-    for key, value in doc.items():
-        write(f"{sep}{json.dumps(key)}: ")
-        sep = ",\n  "
-        template = items.get(key)
-        if template is None or not value:
-            write(json.dumps(value, indent=2).replace("\n", "\n  "))
-            continue
-        lead = "[\n"
-        for start in range(0, len(value), _JSON_BATCH):
-            write(lead)
-            write(",\n".join(map(template, value[start:start + _JSON_BATCH])))
-            lead = ",\n"
-        write("\n  ]")
-    write("\n}\n")
-
 
 # basis -> the polynomial in that basis at side size n.  Each entry looks its
 # builder up through the module at call time, so a rebinding of the module
@@ -166,9 +108,9 @@ def _cmd_poly(args) -> int:
     caps.require(f"poly-{args.basis}", args.n, args.allow_large)
     poly = _BASES[args.basis](args.n)
     if args.format == "text":
-        sys.stdout.write(polyalg.to_text(poly))
+        polyalg.write_text(poly, sys.stdout.write)
     else:
-        _write_json(polyalg.to_json_dict(poly, args.basis), _POLY_ITEMS)
+        polyalg.write_json(poly, args.basis, sys.stdout.write)
     return EXIT_OK
 
 
@@ -179,7 +121,7 @@ def _cmd_lattice(args) -> int:
     if args.format == "dot":
         sys.stdout.write(lat.to_dot())
     else:
-        _write_json(lat.to_json_dict(), _LATTICE_ITEMS)
+        lat.write_json(sys.stdout.write)
     return EXIT_OK
 
 
@@ -221,8 +163,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_summary(args) -> int:
     caps.require(f"poly-{args.basis}", args.n, args.allow_large)
-    _write_json({"n": args.n, "basis": args.basis,
-                 "groups": bpm.monomial_summary(_BASES[args.basis](args.n))})
+    print(json.dumps({"n": args.n, "basis": args.basis,
+                      "groups": bpm.monomial_summary(_BASES[args.basis](args.n))}, indent=2))
     return EXIT_OK
 
 
@@ -248,8 +190,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bpm.bounds_report(args.n)
-    _write_json(report.to_json_dict())
+    print(json.dumps(bpm.bounds_report(args.n).to_json_dict(), indent=2))
     return EXIT_OK
 
 

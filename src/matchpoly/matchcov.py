@@ -3,10 +3,11 @@ equivalent characterizations, ear decompositions, and bulk enumeration.
 
 A graph is matching-covered when its edge set is a union of perfect matchings
 of K_{n,n}; a connected matching-covered graph (on all 2n vertices) is
-elementary.  The membership test used everywhere is "has a perfect matching
-and every edge is allowed" -- n^2+1 matching queries instead of enumerating
-matching subsets, which matters because the enumerators push 2^(n^2) graphs
-through it.
+elementary.  The membership test is "has a perfect matching and every edge
+is allowed" -- n^2+1 matching queries instead of enumerating matching
+subsets.  ``is_matching_covered`` runs it on one graph; the enumerators
+stream all 2^(n^2) masks through its array form,
+``_kernels.mc_flags_for_masks``.
 """
 
 from __future__ import annotations

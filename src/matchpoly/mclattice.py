@@ -14,6 +14,7 @@ and the wildcard / surplus edge conditions.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,6 +24,7 @@ from . import _kernels, bpm
 from .bitgraph import BipartiteGraph, left_neighborhoods, union_of_perfect_matchings
 from .caps import require_hard
 from .matchcov import is_matching_covered
+from .polyalg import _write_document
 
 
 # rows of a rank layer tested against the next layer at once: at n = 4 the
@@ -57,16 +59,28 @@ class McLattice:
         for m in self.masks.tolist():
             yield BipartiteGraph(self.n, m)
 
+    def write_json(self, write) -> None:
+        """The JSON document at indent 2: ``n``, the nodes with their rank and
+        Moebius number, and the covering pairs as node indices."""
+        def nodes(lo: int, hi: int) -> str:
+            return ",\n".join([
+                f'    {{\n      "mask": "{m:#x}",\n      "rank": {r},'
+                f'\n      "mobius": {mu}\n    }}'
+                for m, r, mu in zip(self.masks[lo:hi].tolist(), self.rank[lo:hi].tolist(),
+                                    self.mobius[lo:hi].tolist())])
+
+        def covers(lo: int, hi: int) -> str:
+            return ",\n".join([f"    [\n      {a},\n      {b}\n    ]"
+                                for a, b in self.cover_edges[lo:hi].tolist()])
+
+        _write_document(write, {"n": self.n}, {"nodes": (len(self), nodes),
+                                               "cover_edges": (len(self.cover_edges), covers)})
+
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "nodes": [
-                {"mask": f"{m:#x}", "rank": r, "mobius": mu}
-                for m, r, mu in zip(self.masks.tolist(), self.rank.tolist(),
-                                    self.mobius.tolist())
-            ],
-            "cover_edges": self.cover_edges.tolist(),
-        }
+        """:meth:`write_json`'s document, parsed."""
+        chunks: list[str] = []
+        self.write_json(chunks.append)
+        return json.loads("".join(chunks))
 
     def to_dot(self) -> str:
         """Hasse diagram in DOT, one layer per rank, bottom at the bottom."""
@@ -172,6 +186,8 @@ def interval_mobius_sum(lat: McLattice, g: BipartiteGraph | int) -> int:
     Zero for every node except the top: the signature fact of an Eulerian
     lattice, and the engine behind the vanishing dual coefficients.
     """
+    if isinstance(g, BipartiteGraph) and g.n != lat.n:
+        raise ValueError(f"graph has n={g.n}, lattice has n={lat.n}")
     mask = g.mask if isinstance(g, BipartiteGraph) else int(g)
     lat.node_index(mask)
     above = (mask & ~lat.masks) == 0

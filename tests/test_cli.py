@@ -79,6 +79,16 @@ class TestPoly:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("basis,digest", [
+        ("primal", "932d52f715fbd6f540f903dccb9056fc65885d6357b812b90314656e4278dd85"),
+        ("dual", "b549d6eb9976a401c8528a71fb789dddc68542c4910b9331556e2483b0d0fe4d"),
+        ("fourier", "21855965337bc91acfda47578e072ee66bc23e35af787b5bb7c59296d545513e"),
+    ])
+    def test_n4_text_frozen(self, capsys, basis, digest):
+        code, out, _ = run(capsys, "poly", "--n", "4", "--basis", basis, "--format", "text")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "poly", "--n", "3", "--basis", "dual")
         _, out2, _ = run(capsys, "poly", "--n", "3", "--basis", "dual")
@@ -104,6 +114,17 @@ class TestLattice:
     def test_dot_capped_at_3(self, capsys):
         code, _, _ = run(capsys, "lattice", "--n", "4", "--format", "dot")
         assert code == 3
+
+    @pytest.mark.parametrize("n,fmt,digest", [
+        (1, "json", "68a7086a82c6aacb489582f5b138408bc16bea797ddf5bc28f702b8da23bcb17"),
+        (2, "json", "d421d67ed58fde13baf4b70e0f4ce2e51965c376dc63aed78f71235d1af390ae"),
+        (3, "json", "05bc51dcf8de79bd7d8a12bef451c128ffd12e0f2fd1662e16a4a3de4495164a"),
+        (3, "dot", "4959abd7e0e0634134c0e94ac7c8bd442b8733a828f3eb9c9672e16d766fe2b7"),
+    ])
+    def test_output_frozen(self, capsys, n, fmt, digest):
+        code, out, _ = run(capsys, "lattice", "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_n4_json_allowed(self, capsys):
         code, out, _ = run(capsys, "lattice", "--n", "4", "--format", "json")
@@ -380,66 +401,106 @@ class TestUsage:
         assert exc.value.code == 2
 
 
-def assert_written_as_json_dumps(capsys, doc, items=None):
-    cli._write_json(doc, items)
-    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+def written(writer, *args):
+    chunks = []
+    writer(*args, chunks.append)
+    return "".join(chunks)
 
 
-def poly_doc(basis, n):
+def assert_indent2(out, doc):
+    """``out`` is ``json.dumps(doc, indent=2)`` plus a newline."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert json.loads(out) == doc
+
+
+def reference_poly_doc(p, basis):
+    """The polynomial document built term by term from the masks, apart from
+    the writer."""
+    n = p.n
+    doc = {"n": n, "basis": basis}
+    if basis == "fourier":
+        doc["shared_exponent"] = p.shared_exponent
+    doc["terms"] = [
+        {"mask": hex(m),
+         "edges": [[i + 1, j + 1] for i in range(n) for j in range(n) if m >> (n * i + j) & 1],
+         "coeff": c}
+        for m, c in zip(p.masks.tolist(), p.coeffs.tolist())]
+    return doc
+
+
+def reference_lattice_doc(lat):
+    return {"n": lat.n,
+            "nodes": [{"mask": hex(m), "rank": r, "mobius": mu}
+                      for m, r, mu in zip(lat.masks.tolist(), lat.rank.tolist(),
+                                          lat.mobius.tolist())],
+            "cover_edges": lat.cover_edges.tolist()}
+
+
+def basis_poly(basis, n):
     if basis == "dual":
-        return polyalg.to_json_dict(bpm.dual_polynomial(n), basis)
+        return bpm.dual_polynomial(n)
     p = bpm.primal_polynomial(n)
-    return polyalg.to_json_dict(polyalg.to_fourier(p) if basis == "fourier" else p, basis)
+    return polyalg.to_fourier(p) if basis == "fourier" else p
 
 
 class TestJsonWriter:
-    """``_write_json`` against ``json.dumps(doc, indent=2) + "\\n"``."""
+    """Every JSON document is ``json.dumps(doc, indent=2) + "\\n"``: the
+    writers of ``polyalg`` and ``McLattice`` against documents built element
+    by element, and ``summary`` and ``bounds`` against their dicts."""
 
     @pytest.mark.parametrize("basis,n", [
         (basis, n) for basis in ("primal", "dual", "fourier") for n in (1, 2, 3)
     ] + [("primal", 4), ("dual", 4)])
-    def test_polynomial_documents(self, capsys, basis, n):
-        doc = poly_doc(basis, n)
-        assert_written_as_json_dumps(capsys, doc, cli._POLY_ITEMS)
+    def test_polynomial_documents(self, basis, n):
+        p = basis_poly(basis, n)
+        assert_indent2(written(polyalg.write_json, p, basis), reference_poly_doc(p, basis))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_lattice_documents(self, capsys, n):
-        doc = mclattice.build_lattice(n).to_json_dict()
-        assert_written_as_json_dumps(capsys, doc, cli._LATTICE_ITEMS)
+    def test_lattice_documents(self, n):
+        lat = mclattice.build_lattice(n)
+        assert_indent2(written(lat.write_json), reference_lattice_doc(lat))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("basis", ["primal", "dual"])
     def test_summary_documents(self, capsys, basis, n):
         p = bpm.primal_polynomial(n) if basis == "primal" else bpm.dual_polynomial(n)
         doc = {"n": n, "basis": basis, "groups": bpm.monomial_summary(p)}
-        assert_written_as_json_dumps(capsys, doc)
+        code, out, _ = run(capsys, "summary", "--n", str(n), "--basis", basis)
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bounds_documents(self, capsys, n):
         doc = bpm.bounds_report(n).to_json_dict()
-        assert_written_as_json_dumps(capsys, doc)
+        code, out, _ = run(capsys, "bounds", "--n", str(n))
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
 
-    def test_empty_polynomial(self, capsys):
-        doc = polyalg.to_json_dict(polyalg.MultilinearPoly.zero(2), "dual")
-        assert doc["terms"] == []
-        assert_written_as_json_dumps(capsys, doc, cli._POLY_ITEMS)
+    def test_empty_polynomial(self):
+        p = polyalg.MultilinearPoly.zero(2)
+        out = written(polyalg.write_json, p, "dual")
+        assert json.loads(out)["terms"] == []
+        assert_indent2(out, reference_poly_doc(p, "dual"))
 
-    def test_constant_term(self, capsys):
+    def test_constant_term(self):
         p = polyalg.MultilinearPoly(2, np.array([0, 9]), np.array([-3, 1]), 1)
-        doc = polyalg.to_json_dict(p, "fourier")
-        assert doc["terms"][0]["edges"] == []
-        assert_written_as_json_dumps(capsys, doc, cli._POLY_ITEMS)
+        out = written(polyalg.write_json, p, "fourier")
+        assert json.loads(out)["terms"][0]["edges"] == []
+        assert_indent2(out, reference_poly_doc(p, "fourier"))
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_lists_across_batch_boundaries(self, capsys, monkeypatch, size):
-        monkeypatch.setattr(cli, "_JSON_BATCH", 2)
-        poly = poly_doc("primal", 3)
-        poly["terms"] = poly["terms"][:size]
-        lattice = mclattice.build_lattice(2).to_json_dict()
-        lattice["nodes"] = lattice["nodes"][:size]
-        lattice["cover_edges"] = [[k, k + 1] for k in range(size)]
-        for doc, items in ((poly, cli._POLY_ITEMS), (lattice, cli._LATTICE_ITEMS)):
-            assert_written_as_json_dumps(capsys, doc, items)
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])
+    def test_lists_across_batch_boundaries(self, monkeypatch, size):
+        monkeypatch.setattr(polyalg, "_BATCH", 2)
+        p = bpm.primal_polynomial(3)
+        poly = polyalg.MultilinearPoly(3, p.masks[:size], p.coeffs[:size])
+        lat = mclattice.build_lattice(2)
+        lat = mclattice.McLattice(2, lat.masks[:size], lat.rank[:size], lat.mobius[:size],
+                                  np.array([[k, k + 1] for k in range(size)]).reshape(-1, 2))
+        assert_indent2(written(polyalg.write_json, poly, "primal"),
+                       reference_poly_doc(poly, "primal"))
+        assert_indent2(written(lat.write_json), reference_lattice_doc(lat))
+
+    def test_text_across_batch_boundaries(self, monkeypatch):
+        monkeypatch.setattr(polyalg, "_BATCH", 2)  # 121 terms: the last batch holds one
+        assert polyalg.to_text(bpm.dual_polynomial(3)) == golden_dual3_text()
 
     @pytest.mark.parametrize("argv,digest", [
         (("poly", "--n", "4", "--basis", "primal", "--format", "json"),
@@ -483,9 +544,9 @@ class ClosingPipe:
 
 class TestClosedPipe:
     def test_streamed_document_exits_141(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "_JSON_BATCH", 2)
+        monkeypatch.setattr(polyalg, "_BATCH", 2)
         with open(tmp_path / "stdout", "w") as f:
-            pipe = ClosingPipe(f.fileno(), writes=7)
+            pipe = ClosingPipe(f.fileno(), writes=3)  # the head, then two batches
             monkeypatch.setattr(sys, "stdout", pipe)
             code = main(["lattice", "--n", "3", "--format", "json"])  # 25 batches
             monkeypatch.undo()
@@ -514,3 +575,47 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert proc.returncode == 141 and proc.stderr == ""
+
+
+# Runs one command and then reports its own peak RSS from /proc.  Not from
+# the exit rusage: a child's ru_maxrss starts at its parent's peak when the
+# parent's address space is replaced at exec.
+_PEAK_RSS_CHILD = """
+import sys
+from matchpoly.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as f:
+    print(*[line for line in f if line.startswith("VmHWM:")], file=sys.stderr, end="")
+sys.exit(code)
+"""
+
+
+@pytest.mark.large
+class TestPrimalN5:
+    """The largest document the caps allow, in a fresh process: its bytes,
+    and a peak RSS that stays near the polynomial's own arrays."""
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("text", "2a0fa0365e669638dab9307a9613023ef8b547ff46b612500c83aadd57c844ed"),
+        ("json", "a2bb91c2beb89fd694b80a353b76c405bd43508b36f0d7113fc75a7e9fc200ab"),
+    ])
+    def test_stdout_frozen_and_peak_rss_bounded(self, tmp_path, fmt, digest):
+        src = str(Path(matchpoly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open(tmp_path / "stderr", "w+") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _PEAK_RSS_CHILD, "--allow-large", "poly",
+                 "--n", "5", "--basis", "primal", "--format", fmt],
+                stdout=subprocess.PIPE, stderr=err, env=env)
+            sha = hashlib.sha256()
+            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+                sha.update(chunk)
+            proc.stdout.close()
+            assert proc.wait(timeout=600) == 0
+            err.seek(0)
+            stderr = err.read()
+        assert sha.hexdigest() == digest
+        peak_mib = int(stderr.split()[1]) / 1024  # "VmHWM:  262144 kB"
+        assert peak_mib < 512, f"peak RSS {peak_mib:.0f} MiB"

@@ -162,6 +162,12 @@ class TestIntervalMobiusSum:
         with pytest.raises(ValueError):
             interval_mobius_sum(lat, 0b0001)
 
+    def test_other_side_size_rejected(self):
+        # the n = 4 star {(1,1), (2,1), (3,1)} has the mask of the n = 3
+        # identity matching, a node of the n = 3 lattice
+        with pytest.raises(ValueError, match="graph has n=4, lattice has n=3"):
+            interval_mobius_sum(build_lattice(3), BipartiteGraph(4, 0x111))
+
 
 class TestUmbrella:
     def test_mc_graph_is_its_own_umbrella(self):

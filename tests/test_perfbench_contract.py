@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracing import COUNTERS, LAYERS, Tracer  # noqa: E402
 
-from matchpoly import _kernels  # noqa: E402
+from matchpoly import _kernels, bpm, polyalg  # noqa: E402
 from matchpoly.cli import main  # noqa: E402
 
 from helpers import clear_caches  # noqa: E402
@@ -42,7 +42,8 @@ def test_tracer_sees_every_pool_window(capsys, monkeypatch):
 
 def test_every_counter_reads_positive(capsys):
     """Each counted kernel runs in one small pass, so a renamed function or
-    argument that a counter reads fails here."""
+    argument that a counter reads fails here.  The CLI renders through the
+    writers, so the traced string and dict renderers are called directly."""
     clear_caches()
     tracer = Tracer()
     tracer.install()
@@ -50,6 +51,9 @@ def test_every_counter_reads_positive(capsys):
         for argv in (["verify", "--n", "2"], ["poly", "--n", "2"],
                      ["poly", "--n", "2", "--format", "json"]):
             assert main(argv) == 0, argv
+        p = bpm.primal_polynomial(2)
+        assert polyalg.to_text(p).count("\n") == 3
+        assert len(polyalg.to_json_dict(p, "primal")["terms"]) == 3
     finally:
         tracer.uninstall()
     capsys.readouterr()

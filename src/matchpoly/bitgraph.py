@@ -288,17 +288,3 @@ def left_neighborhoods(n: int, mask: int) -> list[int]:
         low = xs & -xs
         nb[xs] = nb[xs ^ low] | rows[low.bit_length() - 1]
     return nb
-
-
-def hall_violating_subset(g: BipartiteGraph):
-    """A left subset X with |N(X)| < |X| if one exists, else None.
-
-    Brute-force witness for Hall's condition, used as a cross-check oracle
-    against the matching DP.
-    """
-    n = g.n
-    nb = left_neighborhoods(n, g.mask)
-    for xs in range(1, 1 << n):
-        if nb[xs].bit_count() < xs.bit_count():
-            return frozenset(i + 1 for i in range(n) if (xs >> i) & 1)
-    return None

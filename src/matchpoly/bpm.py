@@ -201,7 +201,7 @@ def total_order_codes(n: int, masks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dual_coefficient(g: BipartiteGraph) -> int:
-    """Exact dual coefficient of a nonempty graph S, n <= 5.
+    """Exact dual coefficient of a nonempty graph S, n <= 7.
 
     c(S) = -sum over T subseteq S of (-1)^{|S \\ T|} BPM(K_{n,n} \\ T), from
     one run of the signed family automaton over the rows of S, so no dense

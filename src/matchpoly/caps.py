@@ -40,8 +40,9 @@ CAPS: dict[str, Cap] = {
     "poly-dual": Cap(4, 5, "family automaton per Ferrers shape, orbits listed; "
                            "n=5 -> 251 shapes, 95_161 terms"),
     "poly-fourier": Cap(4, 4, "dense int64 buffer plus dyadic numerators"),
-    "dual-coefficient": Cap(4, 5, "signed family automaton over the 2^|row| "
-                                  "submasks of each row"),
+    "dual-coefficient": Cap(4, 7, "signed family automaton over the 2^|row| "
+                                  "submasks of each row; n=7 -> about 4 s, "
+                                  "most of it building the automaton"),
     "enumerate-mc": Cap(4, 5, "streams 2^(n^2) masks through the MC filter"),
     "lattice": Cap(4, 4, "materializes MC_n plus pairwise cover scans; n=4 -> 7_444 nodes"),
     "lattice-dot": Cap(3, 3, "readability cap; 50 nodes / 135 edges at n=3"),

@@ -315,21 +315,28 @@ def l1_norm(p: MultilinearPoly) -> int:
 # Rendering
 # ---------------------------------------------------------------------------
 
-# Elements (terms, lattice nodes or covers) rendered per write.  Measured on
-# 2 Xeon cores, writing to a hashing sink: on the n = 4 Fourier document
-# 64 to 1,024 took the same time and raised peak RSS by at most 0.5 MiB,
-# while 4,096 raised it by 5.7 MiB and 16,384 by 22 MiB, and took longer; the
-# n = 5 dual text and the n = 5 primal text and JSON wrote as fast at 1,024
-# as at 256 or 4,096.
+# JSON elements (terms, lattice nodes or covers) rendered per write.
+# Measured on 2 Xeon cores, writing to a hashing sink: on the n = 4 Fourier
+# document 64 to 1,024 took the same time and raised peak RSS by at most
+# 0.5 MiB, while 4,096 raised it by 5.7 MiB and 16,384 by 22 MiB, and took
+# longer; the n = 5 primal JSON wrote as fast at 1,024 as at 256 or 4,096.
 _BATCH = 1024
 
+# Text terms rendered per write, each batch as one matrix of 8-byte words
+# (write_text).  On the same 2 cores, the n = 5 dual (95,161 terms) renders
+# in 51 ms at 1,024 and in 57 to 66 ms at 256.  But a 1,024 batch's matrix
+# and NUL filter (221 KiB each) left the benchmark pass of `poly --n 5
+# --basis dual` 2 MiB above its peak RSS under the per-term renderer, and
+# 2,048 and 4,096 5 and 9 MiB above; at 256 the peak did not rise.
+_TEXT_BATCH = 256
 
-def _write_batches(write, count: int, render, sep: str) -> None:
+
+def _write_batches(write, count: int, render, sep: str, size: int) -> None:
     """Write ``render(lo, hi)`` for consecutive slices of ``range(count)``,
-    ``_BATCH`` at a time, with ``sep`` between them."""
+    ``size`` at a time, with ``sep`` between them."""
     lead = ""
-    for lo in range(0, count, _BATCH):
-        write(lead + render(lo, min(lo + _BATCH, count)))
+    for lo in range(0, count, size):
+        write(lead + render(lo, min(lo + size, count)))
         lead = sep
 
 
@@ -341,17 +348,18 @@ def _write_document(write, head: dict, lists: dict) -> None:
     text = "{" + "".join(f"\n  {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items())
     for key, (count, render) in lists.items():
         write(f"{text}\n  {json.dumps(key)}: [" + ("\n" if count else ""))
-        _write_batches(write, count, render, ",\n")
+        _write_batches(write, count, render, ",\n", _BATCH)
         text = "\n  ]," if count else "],"
     write(text[:-1] + "\n}\n")
 
 
 @lru_cache(maxsize=None)
-def _row_fragments(n: int, form: str) -> tuple[tuple[str, ...], ...]:
-    """table[i][r] = ``form.format(a, b)`` joined over the 1-based edges
-    (a, b) of 0-based row i holding the n-bit neighbour set r, ascending by
-    column.  Each fragment ends in a separator, so a term's edges are the
-    join of its rows' fragments minus that last separator."""
+def _row_fragments(n: int) -> tuple[tuple[str, ...], ...]:
+    """table[i][r] is the JSON ``[a, b]`` at indent 8, each followed by
+    ",\\n", of the 1-based edges (a, b) of 0-based row i holding the n-bit
+    neighbour set r, ascending by column.  A term's ``edges`` list is the
+    join of its rows' fragments minus the last separator."""
+    form = "        [\n          {},\n          {}\n        ],\n"
     return tuple(tuple("".join(form.format(i + 1, j + 1) for j in range(n) if r >> j & 1)
                        for r in range(1 << n))
                  for i in range(n))
@@ -363,30 +371,60 @@ def _term_rows(table, n: int, masks: list[int]) -> list[str]:
     return ["".join([table[i][(m >> (n * i)) & full] for i in range(n)]) for m in masks]
 
 
+def _text_heads(p: MultilinearPoly) -> tuple[np.ndarray, np.ndarray]:
+    """The line heads (sign and magnitude) of a nonzero ``p``'s terms, as
+    ``(values, table)``.  ``values`` are the distinct numerators, ascending.
+    Row k of ``table`` is the head of a term with numerator ``values[k]``:
+    ``"-"``, ``"+ 3"`` or ``"- 15/256"``, magnitude 1 left implicit.  Row
+    ``len(values) + k`` is the head of a constant term, where magnitude 1
+    prints: ``"- 1"``.  Heads are NUL-padded 8-byte words."""
+    den = 1 << p.shared_exponent
+    ordered = np.sort(p.coeffs)  # not np.unique: its first call imports numpy.ma (13 ms)
+    values = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
+    heads = []
+    for c in values.tolist():
+        mag = abs(c) if den == 1 else Fraction(abs(c), den)
+        heads.append(("-" if c < 0 else "+") + ("" if mag == 1 else f" {mag}"))
+    heads += [h if len(h) > 1 else h + " 1" for h in heads]
+    words = -(-max(map(len, heads)) // 8)
+    table = np.array(heads, dtype=f"S{8 * words}").view(np.uint64)
+    return values, table.reshape(len(heads), words)
+
+
 def write_text(p: MultilinearPoly, write) -> None:
     """Write ``p`` to ``write``, one term per line, sorted by (degree, mask);
     coefficient magnitude 1 is left implicit, other coefficients print as
-    reduced fractions."""
+    reduced fractions.
+
+    Each batch renders as one matrix of NUL-padded 8-byte words, a row per
+    term: its head, one word per variable (NUL where the term's bit is
+    clear) and a newline.  The row bytes with the NULs dropped are the
+    batch's text."""
     if not len(p):
         write("0\n")
         return
-    den = 1 << p.shared_exponent
-    table = _row_fragments(p.n, "x_{{{},{}}} ")
+    n, nvars = p.n, p.nvars
+    values, heads = _text_heads(p)
+    lead = heads.shape[1]
+    # " x_{i,j}" for each variable (exactly 8 bytes while n <= 9), then "\n"
+    words = np.array([f" x_{{{v // n + 1},{v % n + 1}}}" for v in range(nvars)] + ["\n"],
+                     dtype="S8").view(np.uint64)
     order = np.lexsort((p.masks, _kernels.popcount_array(p.masks)))
 
     def render(lo: int, hi: int) -> str:
         idx = order[lo:hi]
-        lines = []
-        for c, rows in zip(p.coeffs[idx].tolist(),
-                           _term_rows(table, p.n, p.masks[idx].tolist())):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c) if den == 1 else Fraction(abs(c), den)
-            coeff_str = "" if mag == 1 else str(mag)
-            body = f"{coeff_str} {rows[:-1]}".strip() or "1"  # a constant of magnitude 1
-            lines.append(f"{sign} {body}\n")
-        return "".join(lines)
+        masks = p.masks[idx]
+        rows = np.empty((hi - lo, lead + nvars + 1), dtype=np.uint64)
+        rows[:, :lead] = heads[np.searchsorted(values, p.coeffs[idx])
+                               + len(values) * (masks == 0)]
+        mask_bytes = masks.astype("<i8", copy=False).view(np.uint8).reshape(hi - lo, 8)
+        bits = np.unpackbits(mask_bytes, axis=1, count=nvars, bitorder="little")
+        np.multiply(bits, words[:-1], out=rows[:, lead:-1])
+        rows[:, -1] = words[-1]
+        text = rows.view(np.uint8)
+        return text[text != 0].tobytes().decode("ascii")
 
-    _write_batches(write, len(p), render, "")
+    _write_batches(write, len(p), render, "", _TEXT_BATCH)
 
 
 def to_text(p: MultilinearPoly) -> str:
@@ -403,7 +441,7 @@ def write_json(p: MultilinearPoly, basis: str, write) -> None:
     head: dict = {"n": p.n, "basis": basis}
     if basis == "fourier":
         head["shared_exponent"] = p.shared_exponent
-    table = _row_fragments(p.n, "        [\n          {},\n          {}\n        ],\n")
+    table = _row_fragments(p.n)
 
     def render(lo: int, hi: int) -> str:
         masks = p.masks[lo:hi].tolist()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -61,6 +62,21 @@ def oracle_pm_union(n: int, mask: int) -> int:
         if pm & ~mask == 0:
             out |= pm
     return out
+
+
+def hall_violating_subset(g: BipartiteGraph):
+    """A left subset X with |N(X)| < |X| if one exists, else None: the
+    brute-force witness for Hall's condition."""
+    n = g.n
+    rows = [(g.mask >> (n * i)) & ((1 << n) - 1) for i in range(n)]
+    for xs in range(1, 1 << n):
+        members = [i for i in range(n) if (xs >> i) & 1]
+        nb = 0
+        for i in members:
+            nb |= rows[i]
+        if nb.bit_count() < len(members):
+            return frozenset(i + 1 for i in members)
+    return None
 
 
 def oracle_is_mc_by_subsets(n: int, mask: int) -> bool:
@@ -133,3 +149,22 @@ def n5_uniform_or_dense():
     probability 1/2) or dense (the union of two uniform masks, 3/4)."""
     uniform = st.integers(0, (1 << 25) - 1)
     return uniform | st.tuples(uniform, uniform).map(lambda ab: ab[0] | ab[1])
+
+
+def oracle_text(p) -> str:
+    """The text rendering of a ``MultilinearPoly``, one term at a time: terms
+    sorted by (degree, mask), each line the sign, then the magnitude as a
+    reduced fraction unless it is 1 (a constant prints its 1), then the
+    variables ``x_{i,j}`` ascending by bit."""
+    if not len(p):
+        return "0\n"
+    n, den = p.n, 1 << p.shared_exponent
+    terms = sorted(zip(p.masks.tolist(), p.coeffs.tolist()),
+                   key=lambda t: (t[0].bit_count(), t[0]))
+    lines = []
+    for mask, c in terms:
+        mag = Fraction(abs(c), den)
+        words = ([] if mag == 1 else [str(mag)]) + [
+            f"x_{{{v // n + 1},{v % n + 1}}}" for v in range(n * n) if (mask >> v) & 1]
+        lines.append(("-" if c < 0 else "+") + " " + (" ".join(words) or "1") + "\n")
+    return "".join(lines)

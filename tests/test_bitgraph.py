@@ -12,9 +12,9 @@ from matchpoly import (
     parse_graph,
     union_of_perfect_matchings,
 )
-from matchpoly.bitgraph import hall_violating_subset, iter_perfect_matchings, left_neighborhoods
+from matchpoly.bitgraph import iter_perfect_matchings, left_neighborhoods
 
-from helpers import graphs, oracle_chi, oracle_has_pm, oracle_pm_union
+from helpers import graphs, hall_violating_subset, oracle_chi, oracle_has_pm, oracle_pm_union
 
 
 def G(n, *edges):

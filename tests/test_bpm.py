@@ -319,6 +319,35 @@ class TestDualCoefficient:
         assert coeffs == [submask_mobius_coefficient(5, m) for m in masks]
         assert sum(c != 0 for c in coeffs) >= 10
 
+    def test_n6_staircase_nonordered_and_permuted_ferrers(self):
+        n = 6
+        staircase = sum(((1 << (n - i)) - 1) << (n * i) for i in range(n))
+        assert dual_coefficient(BipartiteGraph(n, staircase)) == (-1) ** (n + 1)
+        assert dual_coefficient(G(n, (1, 1), (1, 2), (2, 2), (2, 3))) == 0
+        shapes = dict(bpm._ferrers_coefficients(n))
+        zero = [d for d, c in shapes.items() if c == 0]
+        nonzero = [d for d, c in shapes.items() if c]
+        rng = np.random.default_rng(59)
+        picked = ([nonzero[i] for i in rng.choice(len(nonzero), size=6, replace=False)]
+                  + [zero[i] for i in rng.choice(len(zero), size=2, replace=False)])
+        for degrees in picked:
+            rows, cols = rng.permutation(n), rng.permutation(n)
+            mask = sum(1 << (n * int(rows[r]) + int(cols[c]))
+                       for r, d in enumerate(degrees) for c in range(d))
+            assert dual_coefficient(BipartiteGraph(n, mask)) == shapes[degrees], degrees
+
+    def test_hard_cap_is_7(self):
+        with pytest.raises(ResourceLimitError, match="hard cap n<=7"):
+            dual_coefficient(BipartiteGraph.full(8))
+
+    @pytest.mark.large
+    def test_n7_staircase_and_biclique(self):
+        n = 7
+        staircase = sum(((1 << (n - i)) - 1) << (n * i) for i in range(n))
+        assert dual_coefficient(BipartiteGraph(n, staircase)) == (-1) ** (n + 1)
+        k66 = sum(0b111111 << (n * i) for i in range(6))
+        assert dual_coefficient(BipartiteGraph(n, k66)) == (n - 2) ** 2
+
     @pytest.mark.large
     def test_n5_matches_mc_superset_sum(self):
         rng = np.random.default_rng(53)

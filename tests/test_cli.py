@@ -204,6 +204,18 @@ class TestClassify:
         assert code == 0
         assert "dual_coeff=9 umbrella_complete=unavailable" in out
 
+    def test_n6_allow_large_coefficient(self, capsys):
+        staircase = "0x" + format(sum(((1 << (6 - i)) - 1) << (6 * i) for i in range(6)), "X")
+        code, out, _ = run(capsys, "--allow-large", "classify", "--n", "6", "--graph", staircase)
+        assert code == 0 and "dual_coeff=-1 umbrella_complete=unavailable" in out
+        code, out, _ = run(capsys, "classify", "--n", "6", "--graph", staircase)
+        assert code == 0 and "dual_coeff=unavailable" in out
+
+    def test_n8_above_the_hard_cap_unavailable(self, capsys):
+        code, out, _ = run(capsys, "--allow-large", "classify", "--n", "8", "--graph", "1-1")
+        assert code == 0
+        assert out.rstrip().endswith("dual_coeff=unavailable umbrella_complete=unavailable")
+
     def test_incomplete_umbrella_reported(self, capsys):
         _, out, _ = run(capsys, "classify", "--n", "3", "--graph", "1-1")
         assert "umbrella_complete=no" in out
@@ -499,7 +511,7 @@ class TestJsonWriter:
         assert_indent2(written(lat.write_json), reference_lattice_doc(lat))
 
     def test_text_across_batch_boundaries(self, monkeypatch):
-        monkeypatch.setattr(polyalg, "_BATCH", 2)  # 121 terms: the last batch holds one
+        monkeypatch.setattr(polyalg, "_TEXT_BATCH", 2)  # 121 terms: the last batch holds one
         assert polyalg.to_text(bpm.dual_polynomial(3)) == golden_dual3_text()
 
     @pytest.mark.parametrize("argv,digest", [

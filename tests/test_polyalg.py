@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from matchpoly import (
     to_truth_table,
 )
 
-from matchpoly import _kernels
+from matchpoly import _kernels, polyalg
 from matchpoly.polyalg import evaluate_all
 
-from helpers import oracle_evaluate, oracle_has_pm
+from helpers import oracle_evaluate, oracle_has_pm, oracle_text
 
 BPM2_TERMS = {0b1001: 1, 0b0110: 1, 0b1111: -1}
 
@@ -343,6 +344,93 @@ class TestRendering:
         doc = to_json_dict(f, "fourier")
         assert doc["shared_exponent"] == f.shared_exponent
         assert doc["terms"][0]["mask"] == "0x0"
+
+
+@st.composite
+def text_polys(draw):
+    """Hypothesis strategy of polynomials at n = 1..7 for the text renderer:
+    masks leaning to the constant, the top variable and the full mask;
+    numerators leaning to magnitude 1 at the drawn exponent, and to dyadic
+    heads longer than one 8-byte word."""
+    n = draw(st.integers(1, 7))
+    nvars = n * n
+    masks = (st.integers(0, (1 << nvars) - 1)
+             | st.sampled_from([0, 1 << (nvars - 1), (1 << nvars) - 1]))
+    chosen = sorted(draw(st.sets(masks, max_size=30)))
+    k = draw(st.integers(0, 24))
+    numerators = (st.integers(-(1 << 30), 1 << 30).filter(bool)
+                  | st.sampled_from([1, -1, 1 << k, -(1 << k), 3 << k, -(1 << 24) + 1]))
+    coeffs = draw(st.lists(numerators, min_size=len(chosen), max_size=len(chosen)))
+    return MultilinearPoly(n, np.array(chosen, dtype=np.int64),
+                           np.array(coeffs, dtype=np.int64), k)
+
+
+def random_poly(n: int, length: int, seed: int) -> MultilinearPoly:
+    """``length`` distinct random masks at n with assorted numerators."""
+    rng = np.random.default_rng(seed)
+    space = 1 << (n * n)
+    masks = (rng.permutation(space)[:length] if space <= 1 << 16
+             else rng.integers(0, space, length, dtype=np.int64))
+    masks = np.unique(masks)
+    assert len(masks) == length
+    coeffs = rng.choice([-(1 << 10), -3, -1, 1, 2, 7], size=length)
+    return MultilinearPoly(n, masks, coeffs, seed % 3)
+
+
+def assert_text_matches_oracle(p: MultilinearPoly, batch: int):
+    """``write_text`` writes the oracle's text, one write per batch of
+    ``batch`` terms (one write for the zero polynomial)."""
+    chunks: list[str] = []
+    polyalg.write_text(p, chunks.append)
+    got, want = "".join(chunks).splitlines(True), oracle_text(p).splitlines(True)
+    # report the first differing line: pytest's diff of two long texts takes minutes
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+               min(len(got), len(want)))
+    assert (len(got), got[bad:bad + 1]) == (len(want), want[bad:bad + 1]), f"line {bad}"
+    assert len(chunks) == max(1, -(-len(p) // batch))
+    assert all(chunk.count("\n") <= batch for chunk in chunks)
+
+
+TEXT_BATCH = polyalg._TEXT_BATCH
+
+
+class TestTextMatrix:
+    """The batch word-matrix renderer against the per-term oracle."""
+
+    @given(text_polys(), st.integers(1, 8))
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    def test_matches_the_per_term_oracle(self, p, batch):
+        with mock.patch.object(polyalg, "_TEXT_BATCH", batch):
+            assert_text_matches_oracle(p, batch)
+
+    @pytest.mark.parametrize("p, first", [
+        (MultilinearPoly(1, np.array([0]), np.array([1])), "+ 1"),
+        (MultilinearPoly(2, np.array([0, 3]), np.array([-1, 1])), "- 1"),
+        (MultilinearPoly(2, np.array([0, 3]), np.array([7, 1])), "+ 7"),
+        (MultilinearPoly(3, np.array([0, 3]), np.array([-12, 1])), "- 12"),
+        (MultilinearPoly(2, np.array([0, 5]), np.array([4, 1]), 2), "+ 1"),
+        (MultilinearPoly(2, np.array([0, 5]), np.array([-4, 1]), 2), "- 1"),
+        (MultilinearPoly(3, np.array([0, 7]), np.array([-12345, 1]), 20),
+         "- 12345/1048576"),
+        (MultilinearPoly(3, np.array([7]), np.array([-12345]), 20),
+         "- 12345/1048576 x_{1,1} x_{1,2} x_{1,3}"),
+        (MultilinearPoly(7, np.array([1 << 48, (1 << 49) - 1]), np.array([3, -1])),
+         "+ 3 x_{7,7}"),
+    ], ids=["+1", "-1", "+k", "-k", "+1 dyadic", "-1 dyadic", "long head constant",
+            "long head", "bit 48"])
+    def test_heads_and_top_bit(self, p, first):
+        assert to_text(p).splitlines()[0] == first
+        assert_text_matches_oracle(p, TEXT_BATCH)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_zero_polynomial(self, n):
+        assert_text_matches_oracle(MultilinearPoly.zero(n), TEXT_BATCH)
+
+    @pytest.mark.parametrize("n, length", [
+        (n, k * TEXT_BATCH + d) for n in range(3, 8) for k in (1, 2) for d in (-1, 0, 1)
+        if k * TEXT_BATCH + d <= 1 << (n * n)])
+    def test_lengths_at_batch_edges(self, n, length):
+        assert_text_matches_oracle(random_poly(n, length, seed=n * length), TEXT_BATCH)
 
 
 class TestValidation:

@@ -140,12 +140,10 @@ def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ferrers_orbit(n: int, rows: list[int]) -> np.ndarray:
     """Every graph reached from ``rows`` by permuting rows and columns,
-    ascending: one (n!, n!) array of masks, sorted, with the first mask of
-    each run of equal ones kept."""
+    ascending: the distinct entries of one (n!, n!) array of masks."""
     images, shifts = _orbit_tables(n)
     permuted = images[:, rows]  # (n!, n): the rows under each tau
-    masks = np.sort((permuted[:, None, :] << shifts[None, :, :]).sum(axis=-1), axis=None)
-    return masks[np.concatenate(([True], masks[1:] != masks[:-1]))]
+    return _kernels.distinct_sorted((permuted[:, None, :] << shifts[None, :, :]).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +542,6 @@ def monomial_summary(p: MultilinearPoly) -> list[dict]:
     isomorphism-invariant here, so the classes partition each group.
     """
     forms = canonical_forms(p.n, _integral(p).masks)
-    values, counts = np.unique(p.coeffs, return_counts=True)
-    return [{"coeff": int(c), "monomials": int(k),
-             "isomorphism_classes": len(np.unique(forms[p.coeffs == c]))}
-            for c, k in zip(values, counts)]
+    return [{"coeff": c, "monomials": int((p.coeffs == c).sum()),
+             "isomorphism_classes": len(_kernels.distinct_sorted(forms[p.coeffs == c]))}
+            for c in _kernels.distinct_sorted(p.coeffs).tolist()]

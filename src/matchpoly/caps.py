@@ -44,7 +44,8 @@ CAPS: dict[str, Cap] = {
                                   "submasks of each row; n=7 -> about 4 s, "
                                   "most of it building the automaton"),
     "enumerate-mc": Cap(4, 5, "streams 2^(n^2) masks through the MC filter"),
-    "lattice": Cap(4, 4, "materializes MC_n plus pairwise cover scans; n=4 -> 7_444 nodes"),
+    "lattice": Cap(4, 4, "materializes MC_n and its covers; n=4 -> 7_444 nodes, "
+                         "42_352 covers"),
     "lattice-dot": Cap(3, 3, "readability cap; 50 nodes / 135 edges at n=3"),
     "umbrella": Cap(4, 4, "filters the primal's MC_n terms for supergraphs of the argument"),
     "verify": Cap(4, 5, "runs every claim valid at n; none is defined above n=5"),

@@ -3,9 +3,10 @@
 Ordered by edge-set containment this is a bounded graded lattice; node ranks
 are cyclomatic number + 1, Moebius numbers alternate as (-1)^rank, and the
 join/meet are edge union and the union of common contained perfect matchings.
-Construction double-checks the rank/Moebius structure: Moebius numbers are
-computed from the defining recursion and then verified against the sign
-pattern, so building the lattice is itself a test of the theory.
+Construction double-checks the rank/Moebius structure: one zeta transform
+checks that (-1)^rank solves the defining Moebius recursion, so building the
+lattice is itself a test of the theory.  Covers are read off the allowed
+edges of each node less one edge, not found by a containment scan.
 
 Beyond the lattice object this module hosts the machinery for reasoning about
 arbitrary graphs through their minimal matching-covered supergraphs: umbrellas
@@ -27,9 +28,12 @@ from .matchcov import is_matching_covered
 from .polyalg import _write_document
 
 
-# rows of a rank layer tested against the next layer at once: at n = 4 the
-# largest block is 64 x 2,176, a 1.1 MB int64 temporary
-_COVER_ROWS = 64
+# nodes whose (node, edge) pairs are looked up at once.  At n = 4 a block
+# holds about 10,000 of the 79,232 pairs; `lattice --n 4 --format json`
+# peaked at 35.2 MiB RSS with blocks of 256 or 1,024 nodes, 37.0 MiB with
+# 4,096 and 39.0 MiB with all 7,444 at once; build_lattice(4) took 26, 23,
+# 24 and 19 ms (2 Xeon cores)
+_COVER_NODES = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,51 +109,61 @@ def build_lattice(n: int) -> McLattice:
     """Materialize (MC_n + bottom, containment) with ranks, Moebius numbers
     and covering edges; n <= 4.
 
-    Covers are containment pairs one rank apart (validated against the
-    no-intermediate definition by the test suite at n <= 3).  Moebius numbers
-    come from the bottom-up recursion and are then checked against
-    (-1)^rank; a mismatch would falsify the Eulerian structure and raises.
+    Moebius numbers are checked to be (-1)^rank by one zeta transform of
+    (-1)^rank placed at the nodes: it must read 1 at the bottom and 0 at
+    every other node.  That is the defining recursion mu(x) = -sum over z
+    strictly below x of mu(z), whose triangular system has one solution.  A
+    failure would falsify the Eulerian structure and raises, naming the
+    failing node of fewest edges, which the recursion reaches first, with
+    the value the recursion gives it.
+
+    Covers come from allowed edges: for a node x and an edge e of x, the
+    union U(x - e) of the perfect matchings of x - e is a node below x.  If
+    z is covered by x and e lies in x but not in z, then z is a union of
+    perfect matchings of x - e, so z <= U(x - e) < x and z = U(x - e).  So
+    the covers of x are the distinct U(x - e) one rank below x.
     """
     require_hard("lattice", n)
     masks = np.concatenate([np.zeros(1, dtype=np.int64), bpm.primal_polynomial(n).masks])
-    chi = _kernels.chi_table(n)
     rank = np.zeros(len(masks), dtype=np.int16)
-    rank[1:] = chi[masks[1:]].astype(np.int16) + 1
+    rank[1:] = _kernels.chi_values(n, masks[1:]) + 1
+    mobius = np.where(rank % 2 == 0, 1, -1).astype(np.int64)
 
-    # Moebius recursion in popcount order, one layer at a time:
-    # mu(x) = -sum_{z strictly below x} mu(z), and every node strictly below x
-    # has fewer edges, so a zeta transform of the lower layers' mu gives it
-    mobius = np.zeros(len(masks), dtype=np.int64)
-    mobius[0] = 1
-    pop = _kernels.popcount_array(masks)
-    lower = np.zeros(1 << (n * n), dtype=np.int64)
-    lower[0] = 1
-    for p in range(1, n * n + 1):
-        layer = np.flatnonzero(pop == p)
-        if layer.size:
-            sums = lower.copy()
-            _kernels.zeta_transform(sums, n * n)
-            mobius[layer] = -sums[masks[layer]]
-            lower[masks[layer]] = mobius[layer]
-    expected = np.where(rank % 2 == 0, 1, -1).astype(np.int64)
-    if not np.array_equal(mobius, expected):
-        bad = int(np.nonzero(mobius != expected)[0][0])
+    sums = np.zeros(1 << (n * n), dtype=np.int64)
+    sums[masks] = mobius
+    _kernels.zeta_transform(sums, n * n)
+    sums = sums[masks]
+    sums[0] -= 1
+    if np.any(sums):
+        bad = np.flatnonzero(sums)
+        bad = int(bad[np.argmin(_kernels.popcount_array(masks[bad]))])
         raise RuntimeError(
-            f"Moebius number at node {int(masks[bad]):#x} is {int(mobius[bad])}, "
-            f"not (-1)^rank; the lattice is not behaving as an Eulerian one")
+            f"Moebius number at node {int(masks[bad]):#x} is "
+            f"{int(mobius[bad] - sums[bad])}, not (-1)^rank; the lattice is not "
+            f"behaving as an Eulerian one")
 
-    # covers: containment + rank gap one, each rank layer against the next in
-    # blocks of rows
-    by_rank = [np.flatnonzero(rank == r) for r in range(int(rank.max()) + 1)]
-    pairs = []
-    for lows, highs in zip(by_rank, by_rank[1:]):
-        outside = ~masks[highs]
-        for start in range(0, lows.size, _COVER_ROWS):
-            block = lows[start:start + _COVER_ROWS]
-            lo, hi = np.nonzero((masks[block][:, None] & outside) == 0)
-            pairs.append(np.stack([block[lo], highs[hi]], axis=1))
-    pairs = np.concatenate(pairs)
-    cover_edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int32)
+    # (lower, upper) pairs as lower * len(masks) + upper, so that sorting
+    # them sorts the pairs
+    keys = []
+    for start in range(0, len(masks), _COVER_NODES):
+        upper = start + np.arange(min(_COVER_NODES, len(masks) - start))
+        mask_bytes = masks[upper].astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        node, edge = np.nonzero(np.unpackbits(mask_bytes, axis=1, count=n * n,
+                                              bitorder="little"))
+        upper = upper[node]
+        less = masks[upper] ^ (1 << edge)
+        below = _kernels.allowed_edge_masks(n, less)
+        lower, found = _kernels.sorted_lookup(masks, below)
+        if not found.all():
+            bad = int(np.argmin(found))
+            raise RuntimeError(
+                f"the perfect matchings of {int(less[bad]):#x} (node "
+                f"{int(masks[upper[bad]]):#x} less an edge) cover {int(below[bad]):#x}, "
+                f"which is not a lattice node")
+        cover = rank[lower] == rank[upper] - 1
+        keys.append(lower[cover] * len(masks) + upper[cover])
+    keys = _kernels.distinct_sorted(np.concatenate(keys))
+    cover_edges = np.stack(np.divmod(keys, len(masks)), axis=1).astype(np.int32)
 
     for arr in (masks, rank, mobius, cover_edges):
         arr.flags.writeable = False

@@ -316,10 +316,12 @@ def l1_norm(p: MultilinearPoly) -> int:
 # ---------------------------------------------------------------------------
 
 # JSON elements (terms, lattice nodes or covers) rendered per write.
-# Measured on 2 Xeon cores, writing to a hashing sink: on the n = 4 Fourier
-# document 64 to 1,024 took the same time and raised peak RSS by at most
-# 0.5 MiB, while 4,096 raised it by 5.7 MiB and 16,384 by 22 MiB, and took
-# longer; the n = 5 primal JSON wrote as fast at 1,024 as at 256 or 4,096.
+# Measured on 2 Xeon cores, write_json to a discarding sink in a fresh
+# process, median of 9: the n = 4 Fourier document took 32 to 54 ms at
+# 1,024, 34 to 50 ms at 256 and 75 ms at 64, and 4,096 raised peak RSS by
+# 6 MiB and 16,384 by 22 MiB.  The n = 5 dual (1 MB of text per 1,024
+# terms) took 98 to 121 ms at 1,024 and 55 to 95 ms at 256 or 512; no
+# benchmark workload writes it.
 _BATCH = 1024
 
 # Text terms rendered per write, each batch as one matrix of 8-byte words
@@ -354,21 +356,33 @@ def _write_document(write, head: dict, lists: dict) -> None:
 
 
 @lru_cache(maxsize=None)
-def _row_fragments(n: int) -> tuple[tuple[str, ...], ...]:
-    """table[i][r] is the JSON ``[a, b]`` at indent 8, each followed by
-    ",\\n", of the 1-based edges (a, b) of 0-based row i holding the n-bit
-    neighbour set r, ascending by column.  A term's ``edges`` list is the
-    join of its rows' fragments minus the last separator."""
+def _row_edges(n: int) -> np.ndarray:
+    """Read-only ``(n, 2^(n+1))`` object table of a term's ``edges`` list,
+    row by row.  ``[i, r]`` is the JSON ``[a, b]`` at indent 8, each followed
+    by ",\\n", of the 1-based edges (a, b) of 0-based row i holding the n-bit
+    neighbour set r, ascending by column.  ``[i, 2^n + r]`` is the same text
+    for the term's last nonempty row: no separator after its last edge, and
+    the list's closing bracket; empty for r = 0, which only the zero mask
+    reads there."""
     form = "        [\n          {},\n          {}\n        ],\n"
-    return tuple(tuple("".join(form.format(i + 1, j + 1) for j in range(n) if r >> j & 1)
-                       for r in range(1 << n))
-                 for i in range(n))
+    table = np.empty((n, 2 << n), dtype=object)
+    for i in range(n):
+        for r in range(1 << n):
+            text = "".join(form.format(i + 1, j + 1) for j in range(n) if r >> j & 1)
+            table[i, r] = text
+            table[i, (1 << n) + r] = text and text[:-2] + "\n      ]"
+    table.flags.writeable = False
+    return table
 
 
-def _term_rows(table, n: int, masks: list[int]) -> list[str]:
-    """The joined row fragments of each mask."""
-    full = (1 << n) - 1
-    return ["".join([table[i][(m >> (n * i)) & full] for i in range(n)]) for m in masks]
+# a term's JSON around its mask, edges and coefficient: _TERM_HEAD is
+# indexed by whether the term has an edge, and _TERM_SEP closes a term and
+# opens the next
+_TERM_OPEN = '    {\n      "mask": "'
+_TERM_HEAD = np.array(['",\n      "edges": []', '",\n      "edges": [\n'], dtype=object)
+_TERM_COEFF = ',\n      "coeff": '
+_TERM_CLOSE = "\n    }"
+_TERM_SEP = _TERM_CLOSE + ",\n" + _TERM_OPEN
 
 
 def _text_heads(p: MultilinearPoly) -> tuple[np.ndarray, np.ndarray]:
@@ -379,8 +393,7 @@ def _text_heads(p: MultilinearPoly) -> tuple[np.ndarray, np.ndarray]:
     ``len(values) + k`` is the head of a constant term, where magnitude 1
     prints: ``"- 1"``.  Heads are NUL-padded 8-byte words."""
     den = 1 << p.shared_exponent
-    ordered = np.sort(p.coeffs)  # not np.unique: its first call imports numpy.ma (13 ms)
-    values = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
+    values = _kernels.distinct_sorted(p.coeffs)
     heads = []
     for c in values.tolist():
         mag = abs(c) if den == 1 else Fraction(abs(c), den)
@@ -437,20 +450,36 @@ def to_text(p: MultilinearPoly) -> str:
 def write_json(p: MultilinearPoly, basis: str, write) -> None:
     """Write ``p``'s JSON document to ``write`` at indent 2, terms ascending
     by mask.  Fourier documents carry the shared exponent, and each
-    ``coeff`` is the integer numerator at that scale."""
-    head: dict = {"n": p.n, "basis": basis}
+    ``coeff`` is the integer numerator at that scale.
+
+    Each batch is one object array, a row per term: its hex mask, the
+    ``edges`` head, one :func:`_row_edges` entry per row (the last nonempty
+    row from the table's second half), the ``coeff`` key, the coefficient
+    and the separator to the next term.  The batch's text is the join of
+    the array after the first term's opening."""
+    n = p.n
+    head: dict = {"n": n, "basis": basis}
     if basis == "fourier":
         head["shared_exponent"] = p.shared_exponent
-    table = _row_fragments(p.n)
+    table = _row_edges(n)
 
     def render(lo: int, hi: int) -> str:
-        masks = p.masks[lo:hi].tolist()
-        return ",\n".join([
-            f'    {{\n      "mask": "{m:#x}",\n      "edges": '
-            + (f"[\n{edges[:-2]}\n      ]" if edges else "[]")
-            + f',\n      "coeff": {c}\n    }}'
-            for m, c, edges in zip(masks, p.coeffs[lo:hi].tolist(),
-                                   _term_rows(table, p.n, masks))])
+        masks = p.masks[lo:hi]
+        rows = _kernels.mask_rows(n, masks).astype(np.intp)
+        top = n - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+        rows[np.arange(hi - lo), top] += 1 << n
+        flat = np.empty(1 + (hi - lo) * (n + 5), dtype=object)
+        flat[0] = _TERM_OPEN
+        pcs = flat[1:].reshape(hi - lo, n + 5)
+        pcs[:, 0] = list(map(hex, masks.tolist()))
+        pcs[:, 1] = _TERM_HEAD[(masks != 0).view(np.int8)]
+        for i in range(n):
+            pcs[:, 2 + i] = table[i, rows[:, i]]
+        pcs[:, -3] = _TERM_COEFF
+        pcs[:, -2] = list(map(str, p.coeffs[lo:hi].tolist()))
+        pcs[:, -1] = _TERM_SEP
+        pcs[-1, -1] = _TERM_CLOSE
+        return "".join(flat.tolist())
 
     _write_document(write, head, {"terms": (len(p), render)})
 

@@ -168,3 +168,15 @@ def oracle_text(p) -> str:
             f"x_{{{v // n + 1},{v % n + 1}}}" for v in range(n * n) if (mask >> v) & 1]
         lines.append(("-" if c < 0 else "+") + " " + (" ".join(words) or "1") + "\n")
     return "".join(lines)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first differing line and the line
+    counts.  pytest's own report of two long unequal strings runs difflib
+    over both, which takes minutes on a rendered polynomial."""
+    if got == want:
+        return
+    a, b = got.splitlines(True), want.splitlines(True)
+    bad = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    raise AssertionError(f"line {bad}: got {a[bad:bad + 1]!r}, want {b[bad:bad + 1]!r} "
+                         f"({len(a)} lines, want {len(b)})")

@@ -28,7 +28,7 @@ from matchpoly import (
     to_text,
 )
 
-from helpers import clear_caches
+from helpers import assert_same_text, clear_caches
 
 
 @contextmanager
@@ -69,9 +69,7 @@ def test_criterion_02_reference_n2_polynomial():
 
 def test_criterion_03_n3_dual_golden_file():
     with criterion(3, "n=3 dual polynomial is byte-identical to the golden file"):
-        rendered = to_text(dual_polynomial(3))
-        golden = verify.golden_dual3_text()
-        assert rendered == golden
+        assert_same_text(to_text(dual_polynomial(3)), verify.golden_dual3_text())
         # the six coefficient-2 terms are present, everything else is +/-1
         coeffs = sorted(dual_polynomial(3).coeffs.tolist())
         assert coeffs.count(2) == 6

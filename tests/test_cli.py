@@ -6,16 +6,20 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import matchpoly
 from matchpoly import _kernels, bpm, cli, mclattice, polyalg
 from matchpoly.cli import main
+from matchpoly.polyalg import MultilinearPoly
 from matchpoly.verify import golden_dual3_text
 
-from helpers import clear_caches
+from helpers import assert_same_text, clear_caches
 
 
 def run(capsys, *argv):
@@ -368,6 +372,26 @@ class TestOneProcess:
         code, out, _ = run(capsys, "poly", "--n", "2")
         assert code == 0 and out.startswith("+ x_{1,2} x_{2,1}\n")
 
+    def test_render_commands_leave_numpy_ma_unloaded(self):
+        # np.unique's first call imports numpy.ma, 13 ms of a fresh process
+        src = str(Path(matchpoly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = """
+import contextlib, io, sys
+from matchpoly.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (("poly", "--n", "4", "--basis", "fourier", "--format", "json"),
+                 ("summary", "--n", "4", "--basis", "dual"),
+                 ("lattice", "--n", "4", "--format", "json"),
+                 ("poly", "--n", "4", "--basis", "dual", "--format", "text")):
+        assert main(list(argv)) == 0
+print("numpy.ma" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_runs_after_rejected_threads(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "0", "bounds", "--n", "2"])
@@ -421,8 +445,7 @@ def written(writer, *args):
 
 def assert_indent2(out, doc):
     """``out`` is ``json.dumps(doc, indent=2)`` plus a newline."""
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    assert json.loads(out) == doc
+    assert_same_text(out, json.dumps(doc, indent=2) + "\n")
 
 
 def reference_poly_doc(p, basis):
@@ -446,6 +469,28 @@ def reference_lattice_doc(lat):
                       for m, r, mu in zip(lat.masks.tolist(), lat.rank.tolist(),
                                           lat.mobius.tolist())],
             "cover_edges": lat.cover_edges.tolist()}
+
+
+@st.composite
+def json_polys(draw):
+    """``(p, basis)`` at n = 1..5 for the JSON writer: up to 12 terms, each
+    mask 0 or one whose last nonempty row is any of rows 0..n-1 (no terms
+    is the zero polynomial, mask 0 alone a constant), numerators over 2^k
+    in the Fourier basis."""
+    n = draw(st.integers(1, 5))
+
+    def with_top_row(top):
+        below = st.integers(0, (1 << (n * top)) - 1)
+        return st.tuples(below, st.integers(1, (1 << n) - 1)).map(
+            lambda parts: parts[0] | parts[1] << (n * top))
+    masks = st.just(0) | st.integers(0, n - 1).flatmap(with_top_row)
+    chosen = sorted(draw(st.sets(masks, max_size=12)))
+    basis = draw(st.sampled_from(["primal", "dual", "fourier"]))
+    k = draw(st.integers(0, 24)) if basis == "fourier" else 0
+    coeffs = draw(st.lists(st.integers(-(1 << 40), 1 << 40).filter(bool),
+                           min_size=len(chosen), max_size=len(chosen)))
+    return MultilinearPoly(n, np.array(chosen, dtype=np.int64),
+                           np.array(coeffs, dtype=np.int64), k), basis
 
 
 def basis_poly(basis, n):
@@ -498,6 +543,20 @@ class TestJsonWriter:
         assert json.loads(out)["terms"][0]["edges"] == []
         assert_indent2(out, reference_poly_doc(p, "fourier"))
 
+    @given(json_polys(), st.integers(1, 8))
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @example((MultilinearPoly.zero(5), "dual"), 1)
+    @example((MultilinearPoly(3, np.array([0]), np.array([-6]), 2), "fourier"), 2)
+    @example((polyalg.to_fourier(bpm.primal_polynomial(2)), "fourier"), 3)
+    @example((polyalg.to_fourier(bpm.primal_polynomial(3)), "fourier"), 8)
+    def test_matches_the_reference_document(self, case, batch):
+        p, basis = case
+        chunks = []
+        with mock.patch.object(polyalg, "_BATCH", batch):
+            polyalg.write_json(p, basis, chunks.append)
+        assert_indent2("".join(chunks), reference_poly_doc(p, basis))
+        assert len(chunks) == 2 + -(-len(p) // batch)  # the head, the batches, the close
+
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])
     def test_lists_across_batch_boundaries(self, monkeypatch, size):
         monkeypatch.setattr(polyalg, "_BATCH", 2)
@@ -512,7 +571,7 @@ class TestJsonWriter:
 
     def test_text_across_batch_boundaries(self, monkeypatch):
         monkeypatch.setattr(polyalg, "_TEXT_BATCH", 2)  # 121 terms: the last batch holds one
-        assert polyalg.to_text(bpm.dual_polynomial(3)) == golden_dual3_text()
+        assert_same_text(polyalg.to_text(bpm.dual_polynomial(3)), golden_dual3_text())
 
     @pytest.mark.parametrize("argv,digest", [
         (("poly", "--n", "4", "--basis", "primal", "--format", "json"),

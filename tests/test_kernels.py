@@ -359,6 +359,13 @@ class TestSmallKernels:
         assert out.dtype == np.int64
         assert out.tolist() == [v.bit_count() for v in values]
 
+    @given(st.lists(st.integers(-(1 << 62), (1 << 62) - 1), max_size=50))
+    @PROPERTY
+    def test_distinct_sorted(self, values):
+        out = _kernels.distinct_sorted(np.array(values, dtype=np.int64))
+        assert out.dtype == np.int64
+        assert out.tolist() == sorted(set(values))
+
     def test_headroom_sums_across_slices(self):
         values = np.zeros(3 << 20, dtype=np.int64)
         values[0] = 1 << 61

@@ -19,6 +19,7 @@ from matchpoly import (
     umbrella,
     union_of_perfect_matchings,
 )
+from matchpoly import _kernels, bpm
 
 from helpers import nonempty_graphs
 
@@ -85,6 +86,29 @@ class TestBuildLattice:
                   for lo in np.flatnonzero((lat.rank == lat.rank[j] - 1)
                                            & ((masks & ~masks[j]) == 0))]
         assert lat.cover_edges.tolist() == [list(c) for c in sorted(covers)]
+
+    @pytest.mark.parametrize("n, index", [(1, 1), (2, 3), (3, 1), (3, 20), (4, 4000),
+                                          (4, -1)])
+    def test_shifted_rank_fails_the_moebius_check(self, monkeypatch, n, index):
+        # one node's chi one off flips its sign; the recursion still gives
+        # it the Moebius number of its true rank
+        lat = build_lattice(n)
+        node, mu = int(lat.masks[index]), int(lat.mobius[index])
+        bpm.primal_polynomial(n)  # cached, so the patch reaches only the lattice
+        chi_values = _kernels.chi_values
+        monkeypatch.setattr(_kernels, "chi_values",
+                            lambda n, masks: chi_values(n, masks) + (masks == node))
+        with pytest.raises(RuntimeError, match=f"^Moebius number at node {node:#x} is {mu}, "
+                                               r"not \(-1\)\^rank;"):
+            build_lattice(n)
+
+    def test_cover_outside_the_lattice_fails(self, monkeypatch):
+        # the bare graph in place of its allowed edges: a perfect matching
+        # less an edge is no node
+        monkeypatch.setattr(_kernels, "allowed_edge_masks", lambda n, m: m)
+        with pytest.raises(RuntimeError, match=r"^the perfect matchings of 0x4 \(node 0x6 "
+                                               r"less an edge\) cover 0x4, which is not"):
+            build_lattice(2)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -27,7 +27,7 @@ from matchpoly import (
 from matchpoly import _kernels, polyalg
 from matchpoly.polyalg import evaluate_all
 
-from helpers import oracle_evaluate, oracle_has_pm, oracle_text
+from helpers import assert_same_text, oracle_evaluate, oracle_has_pm, oracle_text
 
 BPM2_TERMS = {0b1001: 1, 0b0110: 1, 0b1111: -1}
 
@@ -315,16 +315,16 @@ class TestCountsNorms:
 class TestRendering:
     def test_text_is_degree_then_mask_sorted(self):
         p = MultilinearPoly.from_terms(2, BPM2_TERMS)
-        assert to_text(p) == ("+ x_{1,2} x_{2,1}\n"
-                              "+ x_{1,1} x_{2,2}\n"
-                              "- x_{1,1} x_{1,2} x_{2,1} x_{2,2}\n")
+        assert_same_text(to_text(p), "+ x_{1,2} x_{2,1}\n"
+                                     "+ x_{1,1} x_{2,2}\n"
+                                     "- x_{1,1} x_{1,2} x_{2,1} x_{2,2}\n")
 
     def test_text_zero(self):
-        assert to_text(MultilinearPoly.zero(2)) == "0\n"
+        assert_same_text(to_text(MultilinearPoly.zero(2)), "0\n")
 
     def test_text_magnitudes_and_constant(self):
         p = MultilinearPoly.from_terms(2, {0: -3, 0b1: 2})
-        assert to_text(p) == "- 3\n+ 2 x_{1,1}\n"
+        assert_same_text(to_text(p), "- 3\n+ 2 x_{1,1}\n")
 
     def test_dyadic_text(self):
         p = MultilinearPoly.from_terms(2, BPM2_TERMS)
@@ -382,11 +382,7 @@ def assert_text_matches_oracle(p: MultilinearPoly, batch: int):
     ``batch`` terms (one write for the zero polynomial)."""
     chunks: list[str] = []
     polyalg.write_text(p, chunks.append)
-    got, want = "".join(chunks).splitlines(True), oracle_text(p).splitlines(True)
-    # report the first differing line: pytest's diff of two long texts takes minutes
-    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
-               min(len(got), len(want)))
-    assert (len(got), got[bad:bad + 1]) == (len(want), want[bad:bad + 1]), f"line {bad}"
+    assert_same_text("".join(chunks), oracle_text(p))
     assert len(chunks) == max(1, -(-len(p) // batch))
     assert all(chunk.count("\n") <= batch for chunk in chunks)
 

@@ -374,8 +374,16 @@ class TestLatticeTables:
                 assert lat.masks[meets[i, j]] == meet(a, b).mask
 
     def test_meet_outside_the_lattice_fails(self, monkeypatch):
-        # with the bare intersection as the meet, some meets are not nodes
-        monkeypatch.setattr(verify._kernels, "allowed_edge_masks", lambda n, m: m)
+        # with the bare intersection as verify's meet, some meets are not
+        # nodes; the shared kernel stays, as build_lattice reads covers from it
+        kernels = verify._kernels
+
+        class KernelsView:
+            allowed_edge_masks = staticmethod(lambda n, m: m)
+
+            def __getattr__(self, name):
+                return getattr(kernels, name)
+        monkeypatch.setattr(verify, "_kernels", KernelsView())
         nodes = build_lattice(3).masks.tolist()
         first = next(a for i, a in enumerate(nodes)
                      if any(a & b not in nodes for b in nodes[i:]))

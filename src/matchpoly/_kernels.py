@@ -4,6 +4,9 @@ Bit layout matches :mod:`matchpoly.bitgraph`: masks are integers whose bit
 ``(i-1)*n + (j-1)`` is edge ``(i, j)``, so a mask indexes the cached truth and
 chi tables below; MC membership has no table, as the primal's terms are MC_n.
 n = 5 sweeps (33.5M masks) are chunked so the resident set stays a few hundred MiB.
+Each per-n table is built once per process under :func:`frozen_cache`, the
+package's one decorator for per-n caches: it freezes the arrays a builder
+returns, so every caller shares one read-only copy.
 
 Two row automata come from one breadth-first builder: a state sums up
 the rows read so far, and a row step is one lookup in T[state, row].  The
@@ -32,7 +35,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -92,6 +95,27 @@ def _stream_chunks(fn: Callable[[int, int], object], total: int) -> Iterator:
                               min(window, total - start), t)
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a contiguous read-only array; no copy when it is
+    contiguous already."""
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+def frozen_cache(fn: Callable) -> Callable:
+    """``lru_cache(maxsize=None)`` for a builder whose result every caller
+    shares: a returned array, or each array in a returned tuple, is frozen
+    (:func:`frozen`) once, when it is built.  Other values pass through."""
+    @wraps(fn)
+    def build(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if isinstance(out, tuple):
+            return tuple(frozen(x) if isinstance(x, np.ndarray) else x for x in out)
+        return frozen(out) if isinstance(out, np.ndarray) else out
+    return lru_cache(maxsize=None)(build)
+
+
 def popcount_array(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).astype(np.int64)
 
@@ -126,8 +150,8 @@ def _row_automaton(n: int, start, successors: Callable) -> tuple[np.ndarray, tup
 
     ``successors(state)`` lists the state after each of the 2^n rows, and
     states are numbered in the order the search meets them, so ``start`` is
-    state 0.  ``T[state, row]`` is a read-only table of the smallest
-    unsigned dtype that holds every state number.
+    state 0.  ``T[state, row]`` is a table of the smallest unsigned dtype
+    that holds every state number.
     """
     states = [start]
     index = {start: 0}
@@ -139,11 +163,10 @@ def _row_automaton(n: int, start, successors: Callable) -> tuple[np.ndarray, tup
                 states.append(nxt)
             trans.append(index[nxt])
     t = np.array(trans, dtype=np.min_scalar_type(len(states) - 1)).reshape(-1, 1 << n)
-    t.flags.writeable = False
     return t, tuple(states)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _without_column(n: int) -> tuple[int, ...]:
     """Word c has bit S set iff column c is not in subset S."""
     return tuple(sum(1 << s for s in range(1 << n) if not (s >> c) & 1) for c in range(n))
@@ -154,7 +177,7 @@ def _grown(n: int, family: int) -> list[int]:
     return [(family & w) << (1 << c) for c, w in enumerate(_without_column(n))]
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Row automaton of the matchable column sets: (T, words).
 
@@ -176,7 +199,7 @@ def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return _row_automaton(n, 1, successors)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _prefix_codes(n: int, automaton: Callable = _family_automaton) -> tuple[np.ndarray, ...]:
     """State codes C_0 .. C_{n-1} of a row automaton: C_k[p] is the state
     after the rows in the low k*n bits p of a mask, so every dense table
@@ -188,12 +211,10 @@ def _prefix_codes(n: int, automaton: Callable = _family_automaton) -> tuple[np.n
     codes = [np.zeros(1, dtype=trans.dtype)]
     for _ in range(n - 1):
         codes.append(trans[codes[-1]].T.ravel())
-    for c in codes:
-        c.flags.writeable = False
     return tuple(codes)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def truth_table(n: int) -> np.ndarray:
     """uint8 array of length 2^(n^2): 1 iff the mask's graph has a perfect
     matching, i.e. iff the last row steps the state of the first n - 1 rows
@@ -203,16 +224,14 @@ def truth_table(n: int) -> np.ndarray:
     trans, words = _family_automaton(n)
     full = (1 << n) - 1
     matched = np.array([(w >> full) & 1 for w in words], dtype=np.uint8)
-    out = np.take(matched[trans].T, codes, axis=1).reshape(-1)  # (last row, prefix)
-    out.flags.writeable = False
-    return out
+    return np.take(matched[trans].T, codes, axis=1).reshape(-1)  # (last row, prefix)
 
 
 # ---------------------------------------------------------------------------
 # Matching-covered membership
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _reach_table(n: int) -> np.ndarray:
     """uint8 table R over pairs of automaton states: bit j of R[p, q] is set
     iff some column set S of family p avoids column j and family q holds the
@@ -228,9 +247,7 @@ def _reach_table(n: int) -> np.ndarray:
                         for w in words], dtype=np.uint64)
     grown = np.array([_grown(n, w) for w in words], dtype=np.uint64)
     hit = (grown[:, None, :] & flipped[None, :, None]) != 0
-    out = np.packbits(hit, axis=2, bitorder="little")[:, :, 0]
-    out.flags.writeable = False
-    return out
+    return np.packbits(hit, axis=2, bitorder="little")[:, :, 0]
 
 
 def _row_reach(n: int, i: int, masks: np.ndarray) -> np.ndarray:
@@ -296,6 +313,13 @@ def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
+def mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
+    """The (m, n^2) uint8 matrix of edge bits: column v holds bit v of each
+    mask."""
+    mask_bytes = np.asarray(masks).astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(mask_bytes, axis=1, count=n * n, bitorder="little")
+
+
 def mc_flags_for_range(n: int, lo: int, hi: int) -> np.ndarray:
     """Boolean MC membership for the contiguous mask range [lo, hi)."""
     return mc_flags_for_masks(n, np.arange(lo, hi, dtype=np.uint32))
@@ -314,7 +338,7 @@ def stream_mc_masks(n: int) -> Iterator[np.ndarray]:
 # Component counts / cyclomatic numbers on vectors of masks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _component_automaton(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     """Row automaton of the component count: (T, states, F).
 
@@ -337,7 +361,6 @@ def _component_automaton(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     trans, states = _row_automaton(n, ((), 0), successors)
     f = np.array([len(blocks) + n - sum(blocks).bit_count() + zeros
                   for blocks, zeros in states], dtype=np.int64)
-    f.flags.writeable = False
     return trans, states, f
 
 
@@ -363,14 +386,12 @@ def chi_values(n: int, masks: np.ndarray) -> np.ndarray:
     return popcount_array(masks) - 2 * n + component_counts(n, masks)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def chi_table(n: int) -> np.ndarray:
     """Dense cyclomatic-number table for all masks, n <= 4."""
     if n > 4:
         raise ValueError("dense chi tables stop at n=4; use chi_values")
-    out = chi_values(n, np.arange(1 << (n * n), dtype=np.int64)).astype(np.int8)
-    out.flags.writeable = False
-    return out
+    return chi_values(n, np.arange(1 << (n * n), dtype=np.int64)).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

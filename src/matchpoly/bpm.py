@@ -7,8 +7,9 @@ enumeration (coefficient (-1)^chi); ``dual_polynomial`` flips the roles of
 coefficients vanish (total order, Hall-violator covers, umbrellas), exact
 counting formulas, and the decision-tree lower bounds the polynomials imply.
 
-Both polynomials are cached per process: each call at n returns the same
-read-only object.  The primal's terms are MC_n (Theorem 1), and its
+Both polynomials, like every per-n table here, are cached per process by
+:func:`_kernels.frozen_cache`: each call at n returns the same object, and
+its arrays are read-only.  The primal's terms are MC_n (Theorem 1), and its
 readers include :func:`pm_probability`'s first route; ``matchcov.count_mc``
 stays a stream, as counting MC_5 through the primal peaks at 244 MiB, not 56.
 """
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +49,7 @@ def bpm_truth(n: int) -> TruthTable:
     return TruthTable(n, _kernels.truth_table(n))
 
 
-@lru_cache(maxsize=None)
+@_kernels.frozen_cache
 def primal_polynomial(n: int) -> MultilinearPoly:
     """The {0,1}-basis polynomial, built from the matching-covered graphs.
 
@@ -62,7 +62,7 @@ def primal_polynomial(n: int) -> MultilinearPoly:
     return MultilinearPoly(n, np.concatenate(masks), np.concatenate(signs))
 
 
-@lru_cache(maxsize=None)
+@_kernels.frozen_cache
 def dual_polynomial(n: int) -> MultilinearPoly:
     """Polynomial of x -> 1 - BPM(1-x), from the Ferrers orbits.
 
@@ -122,7 +122,7 @@ def _orbit_size(n: int, degrees: tuple[int, ...]) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
+@_kernels.frozen_cache
 def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(images, shifts): images[tau, r] (uint8, n <= 8) is row r under
     column permutation tau, and shifts[sigma, i] = n * sigma(i) moves row i
@@ -132,10 +132,7 @@ def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     images = np.zeros((len(perms), 1 << n), dtype=np.uint8)
     for j in range(n):  # bit j of every row moves to bit tau(j)
         images |= ((rows >> np.uint8(j)) & np.uint8(1)) << perms[:, j, None]
-    shifts = n * perms.astype(np.int64)
-    images.flags.writeable = False
-    shifts.flags.writeable = False
-    return images, shifts
+    return images, n * perms.astype(np.int64)
 
 
 def _ferrers_orbit(n: int, rows: list[int]) -> np.ndarray:
@@ -227,8 +224,6 @@ def enumerate_hall_violators(n: int) -> list[BipartiteGraph]:
     masks = []
     for xs in range(1, 1 << n):
         ky = n + 1 - xs.bit_count()
-        if not (1 <= ky <= n):
-            continue
         row_positions = [i for i in range(n) if (xs >> i) & 1]
         for ys in range(1, 1 << n):
             if ys.bit_count() != ky:

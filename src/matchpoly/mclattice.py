@@ -93,8 +93,6 @@ class McLattice:
                  "  node [shape=box, fontname=\"monospace\"];"]
         for r in range(int(self.rank.max()) + 1):
             layer = np.nonzero(self.rank == r)[0]
-            if layer.size == 0:
-                continue
             decls = " ".join(
                 f"\"{int(self.masks[i]):#x}\" [label=\"{int(self.masks[i]):#x}\\nrk {r}\"];"
                 for i in layer)
@@ -147,9 +145,7 @@ def build_lattice(n: int) -> McLattice:
     keys = []
     for start in range(0, len(masks), _COVER_NODES):
         upper = start + np.arange(min(_COVER_NODES, len(masks) - start))
-        mask_bytes = masks[upper].astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-        node, edge = np.nonzero(np.unpackbits(mask_bytes, axis=1, count=n * n,
-                                              bitorder="little"))
+        node, edge = np.nonzero(_kernels.mask_bits(n, masks[upper]))
         upper = upper[node]
         less = masks[upper] ^ (1 << edge)
         below = _kernels.allowed_edge_masks(n, less)
@@ -165,9 +161,7 @@ def build_lattice(n: int) -> McLattice:
     keys = _kernels.distinct_sorted(np.concatenate(keys))
     cover_edges = np.stack(np.divmod(keys, len(masks)), axis=1).astype(np.int32)
 
-    for arr in (masks, rank, mobius, cover_edges):
-        arr.flags.writeable = False
-    return McLattice(n, masks, rank, mobius, cover_edges)
+    return McLattice(n, *map(_kernels.frozen, (masks, rank, mobius, cover_edges)))
 
 
 def _require_node(g: BipartiteGraph) -> None:

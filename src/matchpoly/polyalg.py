@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -31,12 +30,6 @@ import numpy as np
 from . import _kernels
 from .bitgraph import BipartiteGraph
 from .caps import require_hard
-
-
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 def _input_mask(n: int, mask: int) -> int:
@@ -57,7 +50,7 @@ class TruthTable:
         if vals.size and not np.all((vals == 0) | (vals == 1)):
             raise ValueError("truth table entries must be 0 or 1")
         self.n = n
-        self.bits = _as_readonly(vals.astype(np.uint8, copy=False))
+        self.bits = _kernels.frozen(vals.astype(np.uint8, copy=False))
 
     def __getitem__(self, mask: int) -> int:
         return int(self.bits[mask])
@@ -110,8 +103,8 @@ class MultilinearPoly:
         else:
             shared_exponent = 0
         self.n = n
-        self.masks = _as_readonly(masks)
-        self.coeffs = _as_readonly(coeffs)
+        self.masks = _kernels.frozen(masks)
+        self.coeffs = _kernels.frozen(coeffs)
         self.shared_exponent = shared_exponent
 
     @classmethod
@@ -355,7 +348,7 @@ def _write_document(write, head: dict, lists: dict) -> None:
     write(text[:-1] + "\n}\n")
 
 
-@lru_cache(maxsize=None)
+@_kernels.frozen_cache
 def _row_edges(n: int) -> np.ndarray:
     """Read-only ``(n, 2^(n+1))`` object table of a term's ``edges`` list,
     row by row.  ``[i, r]`` is the JSON ``[a, b]`` at indent 8, each followed
@@ -371,7 +364,6 @@ def _row_edges(n: int) -> np.ndarray:
             text = "".join(form.format(i + 1, j + 1) for j in range(n) if r >> j & 1)
             table[i, r] = text
             table[i, (1 << n) + r] = text and text[:-2] + "\n      ]"
-    table.flags.writeable = False
     return table
 
 
@@ -430,9 +422,7 @@ def write_text(p: MultilinearPoly, write) -> None:
         rows = np.empty((hi - lo, lead + nvars + 1), dtype=np.uint64)
         rows[:, :lead] = heads[np.searchsorted(values, p.coeffs[idx])
                                + len(values) * (masks == 0)]
-        mask_bytes = masks.astype("<i8", copy=False).view(np.uint8).reshape(hi - lo, 8)
-        bits = np.unpackbits(mask_bytes, axis=1, count=nvars, bitorder="little")
-        np.multiply(bits, words[:-1], out=rows[:, lead:-1])
+        np.multiply(_kernels.mask_bits(n, masks), words[:-1], out=rows[:, lead:-1])
         rows[:, -1] = words[-1]
         text = rows.view(np.uint8)
         return text[text != 0].tobytes().decode("ascii")

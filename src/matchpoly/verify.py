@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from typing import Callable
 
@@ -42,7 +41,7 @@ class VerificationReport:
 Outcome = tuple[bool, str] | tuple[bool, str, int]
 
 
-@lru_cache(maxsize=None)
+@_kernels.frozen_cache
 def _dualized(n: int) -> polyalg.MultilinearPoly:
     """The dual polynomial as :func:`polyalg.dualize` of the primal one.
 
@@ -52,12 +51,10 @@ def _dualized(n: int) -> polyalg.MultilinearPoly:
     return polyalg.dualize(bpm.primal_polynomial(n))
 
 
-@lru_cache(maxsize=None)
+@_kernels.frozen_cache
 def _total_order_codes(n: int) -> np.ndarray:
     """Read-only total-order class codes of every mask, indexed by mask."""
-    codes = bpm.total_order_codes(n, np.arange(1 << (n * n)))
-    codes.flags.writeable = False
-    return codes
+    return bpm.total_order_codes(n, np.arange(1 << (n * n)))
 
 
 def _nonempty_of_class(n: int, cls: bpm.TotalOrderClass) -> np.ndarray:

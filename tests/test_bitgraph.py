@@ -12,7 +12,7 @@ from matchpoly import (
     parse_graph,
     union_of_perfect_matchings,
 )
-from matchpoly.bitgraph import iter_perfect_matchings, left_neighborhoods
+from matchpoly.bitgraph import Matching, iter_perfect_matchings, left_neighborhoods
 
 from helpers import graphs, hall_violating_subset, oracle_chi, oracle_has_pm, oracle_pm_union
 
@@ -46,6 +46,14 @@ class TestConstruction:
         assert g.neighbors(1) == {1, 3}
         assert g.neighbors(3) == frozenset()
 
+    def test_empty_graph_text(self):
+        assert BipartiteGraph(3, 0).to_text() == "0x0"
+
+    def test_matching_must_be_a_bijection(self):
+        assert Matching(2, ((1, 2), (2, 1))).mask == 0b0110
+        with pytest.raises(ValueError, match="not a bijection"):
+            Matching(2, ((1, 1), (2, 1)))
+
 
 class TestParsing:
     def test_edge_list(self):
@@ -58,7 +66,7 @@ class TestParsing:
     def test_whitespace_tolerated(self):
         assert parse_graph(2, " 1-1 , 2-2 ").mask == 0b1001
 
-    @pytest.mark.parametrize("bad", ["1-", "1", "a-b", "1-1,", "0x10000", "", "3-1"])
+    @pytest.mark.parametrize("bad", ["1-", "1", "a-b", "1-1,", "0x10000", "0xZZ", "", "3-1"])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_graph(2, bad)

@@ -376,6 +376,10 @@ class TestHallViolators:
         with pytest.raises(ValueError):
             enumerate_hall_violators(1)
 
+    def test_n_above_max_side_rejected(self):
+        with pytest.raises(ValueError, match="side size must be in 1..8"):
+            enumerate_hall_violators(9)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_count_is_vandermonde(self, n):
         # sum over |X| of C(n, |X|) C(n, n + 1 - |X|) = C(2n, n + 1)
@@ -389,6 +393,10 @@ class TestIsHvc:
 
     def test_single_matching_is_not(self):
         assert not is_hvc(G(2, (1, 1), (2, 2)))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            is_hvc(BipartiteGraph.empty(3))
 
     def test_nonzero_dual_implies_hvc_exhaustive_n3(self):
         table = dense_dual(3)

@@ -220,6 +220,12 @@ class TestClassify:
         assert code == 0
         assert out.rstrip().endswith("dual_coeff=unavailable umbrella_complete=unavailable")
 
+    def test_empty_graph(self, capsys):
+        code, out, _ = run(capsys, "classify", "--n", "3", "--graph", "0x0")
+        assert code == 0
+        assert out == ("n=3 graph=0x0 class=TotallyOrderedNonStrict matching_covered=no "
+                       "elementary=no chi=0 dual_coeff=0 umbrella_complete=yes\n")
+
     def test_incomplete_umbrella_reported(self, capsys):
         _, out, _ = run(capsys, "classify", "--n", "3", "--graph", "1-1")
         assert "umbrella_complete=no" in out

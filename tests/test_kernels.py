@@ -5,9 +5,11 @@ before and after it, through one reach table; the scalar oracles decide each edg
 fresh matching DP, so agreement here is not circular.
 """
 
+import ast
 import importlib
 import inspect
 import itertools
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -366,6 +368,41 @@ class TestSmallKernels:
         assert out.dtype == np.int64
         assert out.tolist() == sorted(set(values))
 
+    @given(st.lists(st.integers(0, (1 << 25) - 1), max_size=50))
+    @PROPERTY
+    def test_mask_bits(self, values):
+        bits = _kernels.mask_bits(5, np.array(values, dtype=np.int64))
+        assert bits.dtype == np.uint8 and bits.shape == (len(values), 25)
+        assert bits.tolist() == [[(v >> b) & 1 for b in range(25)] for v in values]
+
+    def test_chi_table_stops_at_n4(self):
+        with pytest.raises(ValueError, match="dense chi tables stop at n=4"):
+            _kernels.chi_table(5)
+
+    def test_frozen_copies_only_what_is_not_contiguous(self):
+        arr = np.arange(6)
+        assert _kernels.frozen(arr) is arr and not arr.flags.writeable
+        strided = np.arange(6)[::2]
+        out = _kernels.frozen(strided)
+        assert out.flags.c_contiguous and not out.flags.writeable and strided.flags.writeable
+        assert out.tolist() == [0, 2, 4]
+
+    def test_frozen_cache_freezes_each_array_once(self):
+        built = []
+
+        @_kernels.frozen_cache
+        def tables(n: int):
+            built.append(np.arange(n))
+            return built[-1], [n], "label"
+
+        arr, listed, label = tables(3)
+        assert arr is built[0] and not arr.flags.writeable
+        assert (listed, label) == ([3], "label")
+        assert tables(3)[0] is arr and len(built) == 1
+        assert tables.__qualname__.endswith("tables") and "n" in inspect.signature(tables).parameters
+        tables.cache_clear()
+        assert tables(3)[0] is not arr
+
     def test_headroom_sums_across_slices(self):
         values = np.zeros(3 << 20, dtype=np.int64)
         values[0] = 1 << 61
@@ -402,6 +439,23 @@ def arrays_in(value):
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from arrays_in(item)
+
+
+def test_only_kernels_freezes_arrays_or_imports_lru_cache():
+    """The rule that a shared array is read-only lives in ``_kernels``
+    alone: no other module sets an array's ``writeable`` flag or builds its
+    own ``lru_cache``; per-n caches use ``_kernels.frozen_cache``."""
+    offenders = []
+    for path in sorted(pathlib.Path(matchpoly.__file__).parent.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if (isinstance(node, ast.alias) and node.name.split(".")[-1] == "lru_cache"
+                    or isinstance(node, ast.Attribute)
+                    and (node.attr in ("lru_cache", "setflags")
+                         or node.attr == "writeable" and isinstance(node.ctx, ast.Store))):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_per_n_caches_hand_out_read_only_arrays():

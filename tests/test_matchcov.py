@@ -120,7 +120,33 @@ class TestHetyei:
             assert report.elementary == is_elementary(g)
 
 
+# K_{2,2} on a1, a2, b1, b2 inside K_{3,3}, and an ear decomposition of it
+CORNER = BipartiteGraph.from_edges(3, [(1, 1), (1, 2), (2, 1), (2, 2)])
+CORNER_EARS = [["a1", "b1"], ["a1", "b2", "a2", "b1"], ["a2", "b2"]]
+
+
 class TestEarDecomposition:
+    def test_corner_accepted(self):
+        assert check_ear_decomposition(CORNER, CORNER_EARS)
+
+    @pytest.mark.parametrize("ears", [
+        pytest.param([["c1", "b1"]] + CORNER_EARS[1:], id="bad-label"),
+        pytest.param([["a4", "b1"]] + CORNER_EARS[1:], id="label-out-of-range"),
+        pytest.param([], id="no-ears"),
+        pytest.param([["a1", "b1", "a2"]] + CORNER_EARS[1:], id="base-of-two-edges"),
+        pytest.param([["a3", "b3"]] + CORNER_EARS[1:], id="base-not-an-edge"),
+        pytest.param(CORNER_EARS[:1] + [["a1", "b2", "a2"]] + CORNER_EARS[2:],
+                     id="odd-vertex-count"),
+        pytest.param(CORNER_EARS[:1] + [["a1", "b2", "a1", "b1"]], id="repeated-vertex"),
+        pytest.param(CORNER_EARS[:1] + [["a2", "b2"]] + CORNER_EARS[1:2],
+                     id="unreached-endpoint"),
+        pytest.param(CORNER_EARS + [["a1", "b2", "a2", "b1"]], id="reached-interior"),
+        pytest.param(CORNER_EARS[:1] + [["a1", "a2", "b2", "b1"]], id="same-side-step"),
+        pytest.param(CORNER_EARS + [["a1", "b3", "a3", "b1"]], id="non-edge-step"),
+    ])
+    def test_malformed_rejected(self, ears):
+        assert not check_ear_decomposition(CORNER, ears)
+
     def test_k22_example(self):
         g = BipartiteGraph.full(2)
         ears = [["a1", "b1"], ["a1", "b2", "a2", "b1"], ["a2", "b2"]]

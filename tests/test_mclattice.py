@@ -149,6 +149,11 @@ class TestJoinMeet:
         pm1 = G(2, (1, 1), (2, 2))
         assert meet(BipartiteGraph.full(2), pm1) == pm1
 
+    @pytest.mark.parametrize("op", [join, meet])
+    def test_different_n_rejected(self, op):
+        with pytest.raises(ValueError, match="same side size"):
+            op(BipartiteGraph.full(2), BipartiteGraph.full(3))
+
     def test_non_node_rejected(self):
         bad = G(2, (1, 1), (1, 2), (2, 2))
         with pytest.raises(ValueError):
@@ -229,6 +234,10 @@ class TestUmbrella:
 class TestIncompleteUmbrella:
     def test_full_graph_complete(self):
         assert not has_incomplete_umbrella(BipartiteGraph.full(3))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            has_incomplete_umbrella(BipartiteGraph.empty(3))
 
     def test_mc_below_top_incomplete(self):
         for g in enumerate_mc(3):

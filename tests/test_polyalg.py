@@ -448,6 +448,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside the variable range"):
             MultilinearPoly(2, np.array([mask]), np.array([1]), k)
 
+    @pytest.mark.parametrize("masks, coeffs", [([1, 2], [1]), ([[1]], [[1]])])
+    def test_non_parallel_arrays_rejected(self, masks, coeffs):
+        with pytest.raises(ValueError, match="parallel 1-d arrays"):
+            MultilinearPoly(2, np.array(masks), np.array(coeffs))
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             MultilinearPoly(2, np.array([1]), np.array([1]), -1)

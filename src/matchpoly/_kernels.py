@@ -468,24 +468,38 @@ FAMILY_START = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
 EMPTY_FAMILY = 1  # the first state that row 0 reaches from state 0
 
 
+@frozen_cache
+def _subset_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row steps of the signed walk as a CSR table (offsets, rows,
+    signs): for the row s, ``rows[offsets[s]:offsets[s + 1]]`` is
+    ``full ^ T`` for every T subseteq s and ``signs`` the matching
+    (-1)^{|s \\ T|}, int64; 3^n entries in all."""
+    subsets = np.arange(1 << n)
+    inside = (subsets[:, None] & subsets[None, :]) == subsets[None, :]  # [s, T]: T subseteq s
+    owner, sub = np.nonzero(inside)
+    offsets = np.zeros((1 << n) + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=offsets[1:])
+    signs = 1 - 2 * (popcount_array(owner ^ sub) & 1)
+    return offsets, ((1 << n) - 1) ^ sub, signs
+
+
 def signed_family_step(n: int, walk: tuple[np.ndarray, np.ndarray], s: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """One row S_i of the signed family automaton.  ``walk`` is (states,
     weights), two int64 arrays; every state steps on the row ``full ^ T_i``
-    for each T_i subseteq S_i, with weight (-1)^{|S_i \\ T_i|}.  Returns the
-    (states, weights) reached, ascending by state, without the empty family
-    (no matching left) or zero weights.  After i rows |weight| <= 2^(n*i),
-    so int64 is exact for n <= 7, and larger n is rejected."""
+    for each T_i subseteq S_i, with weight (-1)^{|S_i \\ T_i|}, read from
+    :func:`_subset_steps`.  Returns the (states, weights) reached, ascending
+    by state, without the empty family (no matching left) or zero weights.
+    After i rows |weight| <= 2^(n*i), so int64 is exact for n <= 7, and
+    larger n is rejected."""
     if n > 7:
         raise ValueError(f"the signed walk is exact in int64 only for n <= 7, got n={n}")
     trans = _family_automaton(n)[0]
+    offsets, rows, signs = _subset_steps(n)
+    lo, hi = offsets[s], offsets[s + 1]
     states, weights = walk
-    subsets = np.arange(1 << n)
-    subsets = subsets[(subsets & s) == subsets]  # every T_i subseteq S_i
-    signs = 1 - 2 * (popcount_array(subsets ^ s) & 1)
     out = np.zeros(len(trans), dtype=np.int64)
-    np.add.at(out, trans[states[:, None], ((1 << n) - 1) ^ subsets],
-              weights[:, None] * signs)
+    np.add.at(out, trans[states[:, None], rows[lo:hi]], weights[:, None] * signs[lo:hi])
     out[EMPTY_FAMILY] = 0
     live = np.flatnonzero(out)
     return live, out[live]

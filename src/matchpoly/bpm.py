@@ -70,8 +70,9 @@ def dual_polynomial(n: int) -> MultilinearPoly:
     which up to row and column permutations are the Ferrers shapes; the
     coefficient is invariant under those permutations.  So the signed
     family automaton runs once per shape and each nonzero shape's orbit is
-    listed.  Built-in check: the orbit sizes plus 1 (the empty graph) must
-    equal :func:`totally_ordered_count`; a mismatch raises.
+    listed.  Built-in checks, each raising RuntimeError: every orbit has
+    :func:`_orbit_size` graphs, the sizes plus 1 (the empty graph) equal
+    :func:`totally_ordered_count`, and no graph is listed twice.
     """
     require_hard("poly-dual", n)
     masks, coeffs = [], []
@@ -92,7 +93,13 @@ def dual_polynomial(n: int) -> MultilinearPoly:
             f"Ferrers orbits cover {total} graphs, totally_ordered_count gives {expected}")
     masks, coeffs = np.concatenate(masks), np.concatenate(coeffs)
     order = np.argsort(masks)
-    return MultilinearPoly(n, masks[order], coeffs[order])
+    masks = masks[order]
+    repeated = np.flatnonzero(masks[1:] == masks[:-1])
+    if repeated.size:
+        mask = int(masks[repeated[0]])
+        degrees = sorted(np.bitwise_count(_kernels.mask_rows(n, mask)).tolist(), reverse=True)
+        raise RuntimeError(f"shape {tuple(degrees)}: graph {mask:#x} listed twice")
+    return MultilinearPoly(n, masks, coeffs[order])
 
 
 def _ferrers_coefficients(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -136,11 +143,22 @@ def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ferrers_orbit(n: int, rows: list[int]) -> np.ndarray:
-    """Every graph reached from ``rows`` by permuting rows and columns,
-    ascending: the distinct entries of one (n!, n!) array of masks."""
+    """Every graph reached from the Ferrers shape ``rows`` (non-increasing)
+    by permuting rows and columns, each once, in no particular order.
+
+    A graph of the orbit is fixed by the shape's column image and the
+    placement of its rows.  Permutations that differ only inside a block of
+    equal columns (equal rows) give the same image (placement), so one per
+    coset is kept: tau ascending on each block of equal columns, sigma on
+    each block of equal rows.  Their outer sum lists n!/prod(row
+    multiplicities)! * n!/prod(column multiplicities)! distinct graphs."""
     images, shifts = _orbit_tables(n)
-    permuted = images[:, rows]  # (n!, n): the rows under each tau
-    return _kernels.distinct_sorted((permuted[:, None, :] << shifts[None, :, :]).sum(axis=-1))
+    cols = [sum(r >> j & 1 for r in rows) for j in range(n)]  # nested: equal counts, equal columns
+    ascending = shifts[:, 1:] > shifts[:, :-1]  # [perm, j]: perm(j) < perm(j + 1)
+    taus = np.all(ascending | (np.diff(cols) != 0), axis=1)
+    sigmas = np.all(ascending | (np.diff(rows) != 0), axis=1)
+    permuted = images[taus][:, rows]  # (column images, n): the rows under each tau
+    return (permuted[:, None, :] << shifts[sigmas][None, :, :]).sum(axis=-1).ravel()
 
 
 # ---------------------------------------------------------------------------

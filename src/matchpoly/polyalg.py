@@ -39,7 +39,11 @@ def _input_mask(n: int, mask: int) -> int:
 
 
 class TruthTable:
-    """Dense Boolean function table over all 2^(n^2) edge masks."""
+    """Dense Boolean function table over all 2^(n^2) edge masks.
+
+    ``bits`` is kept read-only, with no copy when it is a contiguous uint8
+    array already: the caller's own array is then frozen too, so a write
+    through it raises instead of changing the table."""
 
     __slots__ = ("n", "bits")
 
@@ -77,6 +81,12 @@ class MultilinearPoly:
     k is 0 in the {0,1} bases and is normalized so that some numerator is odd
     (or k = 0).  Two polynomials that agree as functions on the cube are
     identical here, which is what makes term-for-term comparisons meaningful.
+
+    ``masks`` and ``coeffs`` are kept read-only, with no copy when they are
+    contiguous int64 arrays already (the n = 5 primal has 6.1M terms): the
+    caller's own arrays are then frozen too (``coeffs`` unless a power of
+    two moves into the exponent), so a write through them raises instead of
+    changing the polynomial.
     """
 
     __slots__ = ("n", "masks", "coeffs", "shared_exponent")
@@ -317,13 +327,14 @@ def l1_norm(p: MultilinearPoly) -> int:
 # benchmark workload writes it.
 _BATCH = 1024
 
-# Text terms rendered per write, each batch as one matrix of 8-byte words
-# (write_text).  On the same 2 cores, the n = 5 dual (95,161 terms) renders
-# in 51 ms at 1,024 and in 57 to 66 ms at 256.  But a 1,024 batch's matrix
-# and NUL filter (221 KiB each) left the benchmark pass of `poly --n 5
-# --basis dual` 2 MiB above its peak RSS under the per-term renderer, and
-# 2,048 and 4,096 5 and 9 MiB above; at 256 the peak did not rise.
-_TEXT_BATCH = 256
+# Text terms rendered per write, each batch as one object array joined once
+# (write_text).  On the same 2 cores the n = 5 dual (95,161 terms) renders
+# warm in 10 ms at 1,024, 14 ms at 256, 18.5 ms at 128 and 28 ms at 64
+# (median of 9).  But the benchmark pass of `poly --n 5 --basis dual` peaked
+# at 70.3 to 70.4 MiB at 128, below the 70.6 MiB of the word-matrix
+# renderer it replaced, and at 70.7 to 70.9 at 256, 71.7 at 512 and 72.8 at
+# 1,024 (5 and 3 fresh processes).
+_TEXT_BATCH = 128
 
 
 def _write_batches(write, count: int, render, sep: str, size: int) -> None:
@@ -377,13 +388,34 @@ _TERM_CLOSE = "\n    }"
 _TERM_SEP = _TERM_CLOSE + ",\n" + _TERM_OPEN
 
 
+@_kernels.frozen_cache
+def _text_groups(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only object tables of a term's variables, a group of rows at a
+    time: rows 2k and 2k + 1 at n <= 5, single rows above, so no table has
+    more than 2^10 entries.  Entry v of a group's table is ``" x_{i,j}"``
+    for each set bit of the group's bits v, ascending; the last table's
+    entries end in ``"\\n"``."""
+    per = 2 if n <= 5 else 1
+    tables = []
+    for first in range(0, n, per):
+        words = [f" x_{{{first + b // n + 1},{b % n + 1}}}"
+                 for b in range(n * min(per, n - first))]
+        table = [""] * (1 << len(words))
+        for v in range(1, len(table)):  # lowest bit first, then the rest
+            low = v & -v
+            table[v] = words[low.bit_length() - 1] + table[v ^ low]
+        tables.append(np.array(table, dtype=object))
+    tables[-1] += "\n"
+    return tuple(tables)
+
+
 def _text_heads(p: MultilinearPoly) -> tuple[np.ndarray, np.ndarray]:
     """The line heads (sign and magnitude) of a nonzero ``p``'s terms, as
-    ``(values, table)``.  ``values`` are the distinct numerators, ascending.
-    Row k of ``table`` is the head of a term with numerator ``values[k]``:
-    ``"-"``, ``"+ 3"`` or ``"- 15/256"``, magnitude 1 left implicit.  Row
-    ``len(values) + k`` is the head of a constant term, where magnitude 1
-    prints: ``"- 1"``.  Heads are NUL-padded 8-byte words."""
+    ``(values, heads)``.  ``values`` are the distinct numerators, ascending.
+    Entry k of the object array ``heads`` is the head of a term with
+    numerator ``values[k]``: ``"-"``, ``"+ 3"`` or ``"- 15/256"``, magnitude
+    1 left implicit.  Entry ``len(values) + k`` is the head of a constant
+    term, where magnitude 1 prints: ``"- 1"``."""
     den = 1 << p.shared_exponent
     values = _kernels.distinct_sorted(p.coeffs)
     heads = []
@@ -391,9 +423,7 @@ def _text_heads(p: MultilinearPoly) -> tuple[np.ndarray, np.ndarray]:
         mag = abs(c) if den == 1 else Fraction(abs(c), den)
         heads.append(("-" if c < 0 else "+") + ("" if mag == 1 else f" {mag}"))
     heads += [h if len(h) > 1 else h + " 1" for h in heads]
-    words = -(-max(map(len, heads)) // 8)
-    table = np.array(heads, dtype=f"S{8 * words}").view(np.uint64)
-    return values, table.reshape(len(heads), words)
+    return values, np.array(heads, dtype=object)
 
 
 def write_text(p: MultilinearPoly, write) -> None:
@@ -401,31 +431,27 @@ def write_text(p: MultilinearPoly, write) -> None:
     coefficient magnitude 1 is left implicit, other coefficients print as
     reduced fractions.
 
-    Each batch renders as one matrix of NUL-padded 8-byte words, a row per
-    term: its head, one word per variable (NUL where the term's bit is
-    clear) and a newline.  The row bytes with the NULs dropped are the
-    batch's text."""
+    Each batch is one object array, a row per term: its head and one
+    :func:`_text_groups` entry per group of rows, the last ending the line.
+    The batch's text is the join of the array."""
     if not len(p):
         write("0\n")
         return
-    n, nvars = p.n, p.nvars
     values, heads = _text_heads(p)
-    lead = heads.shape[1]
-    # " x_{i,j}" for each variable (exactly 8 bytes while n <= 9), then "\n"
-    words = np.array([f" x_{{{v // n + 1},{v % n + 1}}}" for v in range(nvars)] + ["\n"],
-                     dtype="S8").view(np.uint64)
-    order = np.lexsort((p.masks, _kernels.popcount_array(p.masks)))
+    groups = _text_groups(p.n)
+    # the masks ascend, so a stable sort by degree orders by (degree, mask)
+    order = np.argsort(np.bitwise_count(p.masks), kind="stable")
 
     def render(lo: int, hi: int) -> str:
         idx = order[lo:hi]
         masks = p.masks[idx]
-        rows = np.empty((hi - lo, lead + nvars + 1), dtype=np.uint64)
-        rows[:, :lead] = heads[np.searchsorted(values, p.coeffs[idx])
-                               + len(values) * (masks == 0)]
-        np.multiply(_kernels.mask_bits(n, masks), words[:-1], out=rows[:, lead:-1])
-        rows[:, -1] = words[-1]
-        text = rows.view(np.uint8)
-        return text[text != 0].tobytes().decode("ascii")
+        pcs = np.empty((hi - lo, 1 + len(groups)), dtype=object)
+        pcs[:, 0] = heads[np.searchsorted(values, p.coeffs[idx]) + len(values) * (masks == 0)]
+        shift = 0
+        for g, table in enumerate(groups, 1):  # a table of 2^b entries reads the next b bits
+            pcs[:, g] = table[(masks >> shift) & (len(table) - 1)]
+            shift += len(table).bit_length() - 1
+        return "".join(pcs.ravel().tolist())
 
     _write_batches(write, len(p), render, "", _TEXT_BATCH)
 

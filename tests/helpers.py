@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import strategies as st
 
 from matchpoly import BipartiteGraph
@@ -138,6 +139,20 @@ def oracle_canonical_form(n: int, mask: int) -> int:
                             cand |= 1 << (n * i + tau[j])
                 best = min(best, cand)
     return best
+
+
+def oracle_ferrers_orbit(n: int, rows: list[int]) -> list[int]:
+    """Every graph reached from the graph with ``rows`` by permuting its rows
+    and its columns, ascending: the distinct entries of the (n!, n!) array
+    of masks, one per pair of a column and a row permutation."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    images = np.zeros((len(perms), n), dtype=np.int64)  # [tau, i]: row i under tau
+    for i, r in enumerate(rows):
+        for j in range(n):
+            if (r >> j) & 1:
+                images[:, i] |= np.int64(1) << perms[:, j]
+    masks = (images[:, None, :] << (n * perms)[None, :, :]).sum(axis=-1)
+    return np.unique(masks).tolist()
 
 
 def oracle_evaluate(terms: dict[int, int], mask: int) -> int:

@@ -41,7 +41,13 @@ from matchpoly import bpm
 from matchpoly.bpm import appendix_a_zero_flags, total_order_codes
 from matchpoly.verify import run_claim
 
-from helpers import clear_caches, n5_uniform_or_dense, nonempty_graphs, oracle_canonical_form
+from helpers import (
+    clear_caches,
+    n5_uniform_or_dense,
+    nonempty_graphs,
+    oracle_canonical_form,
+    oracle_ferrers_orbit,
+)
 
 # n = 5 examples build the state-code and reach tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -221,19 +227,51 @@ class TestDualPolynomial:
         assert len(shapes) == math.comb(2 * n, n) - 1
         sizes = [bpm._orbit_size(n, d) for d in shapes]
         assert sum(sizes) + 1 == totally_ordered_count(n)
-        if n <= 4:
-            orbits = [bpm._ferrers_orbit(n, [(1 << d) - 1 for d in degrees])
-                      for degrees in shapes]
-            assert [o.size for o in orbits] == sizes
-            members = np.concatenate(orbits)
-            assert np.unique(members).size == members.size
-            assert np.all(total_order_codes(n, members) != 0)
+        orbits = [bpm._ferrers_orbit(n, [(1 << d) - 1 for d in degrees])
+                  for degrees in shapes]
+        assert [o.size for o in orbits] == sizes
+        members = np.concatenate(orbits)
+        assert np.unique(members).size == members.size
+        assert np.all(total_order_codes(n, members) != 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbits_match_the_oracle(self, n):
+        for degrees, _ in bpm._ferrers_coefficients(n):
+            rows = [(1 << d) - 1 for d in degrees]
+            orbit = bpm._ferrers_orbit(n, rows)
+            assert np.sort(orbit).tolist() == oracle_ferrers_orbit(n, rows), degrees
 
     def test_orbit_count_mismatch_raises(self, monkeypatch):
         clear_caches()
         real = totally_ordered_count(3)
         monkeypatch.setattr(bpm, "totally_ordered_count", lambda n: real + 1)
         with pytest.raises(RuntimeError, match="Ferrers orbits cover 230"):
+            dual_polynomial(3)
+
+    def test_short_orbit_raises(self, monkeypatch):
+        clear_caches()
+        real = bpm._ferrers_orbit
+
+        def short(n, rows):
+            orbit = real(n, rows)
+            return orbit[1:] if rows == [7, 7, 0] else orbit
+        monkeypatch.setattr(bpm, "_ferrers_orbit", short)
+        with pytest.raises(RuntimeError,
+                           match=r"shape \(3, 3, 0\): orbit has 2 graphs, expected 3"):
+            dual_polynomial(3)
+
+    def test_repeated_graph_raises(self, monkeypatch):
+        clear_caches()
+        real = bpm._ferrers_orbit
+
+        def repeating(n, rows):
+            orbit = real(n, rows).copy()
+            if rows == [3, 3, 1]:
+                orbit[1] = orbit[0]
+            return orbit
+        monkeypatch.setattr(bpm, "_ferrers_orbit", repeating)
+        with pytest.raises(RuntimeError,
+                           match=r"shape \(2, 2, 1\): graph 0x[0-9a-f]+ listed twice"):
             dual_polynomial(3)
 
     def test_strictly_ordered_coefficient_n2(self):

@@ -390,7 +390,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in (("poly", "--n", "4", "--basis", "fourier", "--format", "json"),
                  ("summary", "--n", "4", "--basis", "dual"),
                  ("lattice", "--n", "4", "--format", "json"),
-                 ("poly", "--n", "4", "--basis", "dual", "--format", "text")):
+                 ("poly", "--n", "4", "--basis", "dual", "--format", "text"),
+                 ("--threads", "2", "--allow-large", "poly", "--n", "5", "--basis", "dual",
+                  "--format", "text"),
+                 ("--allow-large", "classify", "--n", "5", "--graph", "0x119dff"),
+                 ("verify", "--n", "4", "--claim", "all")):
         assert main(list(argv)) == 0
 print("numpy.ma" in sys.modules)
 """

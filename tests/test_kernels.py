@@ -309,6 +309,17 @@ class TestFamilyAutomaton:
             _kernels.signed_matchable_sum(8, [255] * 8)
         assert _kernels._family_automaton.cache_info().misses == misses
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_subset_steps_list_every_subset_with_its_sign(self, n):
+        offsets, rows, signs = _kernels._subset_steps(n)
+        full = (1 << n) - 1
+        assert offsets[0] == 0 and offsets[-1] == len(rows) == len(signs) == 3 ** n
+        for s in range(1 << n):
+            want = [(full ^ t, (-1) ** (s & ~t).bit_count())
+                    for t in range(1 << n) if t & ~s == 0]
+            lo, hi = offsets[s], offsets[s + 1]
+            assert sorted(zip(rows[lo:hi].tolist(), signs[lo:hi].tolist())) == sorted(want)
+
     def test_signed_step_reads_and_returns_arrays(self):
         states, weights = _kernels.signed_family_step(2, _kernels.FAMILY_START, 0b11)
         assert states.dtype == weights.dtype == np.int64

@@ -388,6 +388,7 @@ def assert_text_matches_oracle(p: MultilinearPoly, batch: int):
 
 
 TEXT_BATCH = polyalg._TEXT_BATCH
+EDGE_BATCH = 256  # a multiple of TEXT_BATCH: its multiples are batch edges of both
 
 
 class TestTextMatrix:
@@ -423,10 +424,16 @@ class TestTextMatrix:
         assert_text_matches_oracle(MultilinearPoly.zero(n), TEXT_BATCH)
 
     @pytest.mark.parametrize("n, length", [
-        (n, k * TEXT_BATCH + d) for n in range(3, 8) for k in (1, 2) for d in (-1, 0, 1)
-        if k * TEXT_BATCH + d <= 1 << (n * n)])
+        (n, k * EDGE_BATCH + d) for n in range(3, 8) for k in (1, 2) for d in (-1, 0, 1)
+        if k * EDGE_BATCH + d <= 1 << (n * n)])
     def test_lengths_at_batch_edges(self, n, length):
-        assert_text_matches_oracle(random_poly(n, length, seed=n * length), TEXT_BATCH)
+        """Lengths next to multiples of ``EDGE_BATCH`` sit at the batch edges of
+        the production batch and of a batch of ``EDGE_BATCH``; both are checked."""
+        assert EDGE_BATCH % TEXT_BATCH == 0
+        p = random_poly(n, length, seed=n * length)
+        assert_text_matches_oracle(p, TEXT_BATCH)
+        with mock.patch.object(polyalg, "_TEXT_BATCH", EDGE_BATCH):
+            assert_text_matches_oracle(p, EDGE_BATCH)
 
 
 class TestValidation:
@@ -456,6 +463,19 @@ class TestValidation:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             MultilinearPoly(2, np.array([1]), np.array([1]), -1)
+
+    def test_constructors_freeze_the_callers_arrays(self):
+        """No copy is made of contiguous arrays of the stored dtype, so the
+        caller's arrays become read-only and cannot change the object."""
+        masks, coeffs = np.array([1, 2], dtype=np.int64), np.array([3, 4], dtype=np.int64)
+        bits = np.zeros(16, dtype=np.uint8)
+        p, t = MultilinearPoly(2, masks, coeffs), TruthTable(2, bits)
+        assert p.masks is masks and p.coeffs is coeffs and t.bits is bits
+        for arr in (masks, coeffs, bits):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert p.terms == {1: 3, 2: 4} and t.popcount() == 0
 
 
     def test_from_terms_drops_zeros(self):

@@ -8,19 +8,20 @@ Each per-n table is built once per process under :func:`frozen_cache`, the
 package's one decorator for per-n caches: it freezes the arrays a builder
 returns, so every caller shares one read-only copy.
 
-Two row automata come from one breadth-first builder: a state sums up
-the rows read so far, and a row step is one lookup in T[state, row].  The
-matchable-family automaton's state is the family of column sets those
-rows can be matched onto; the component automaton's is the partition of
-the columns they touch, plus the count of zero rows.  A dense kernel is
-one gather through an automaton's per-prefix state codes: the truth
-table, the MC filter (through one table over the family states of the
-rows before and after each row) and the component counts behind chi.
+Two row automata come from one breadth-first builder, an array search
+over int64 state keys: a state sums up the rows read so far, and a row
+step is one lookup in T[state, row].  The matchable-family automaton's
+state is the family of column sets those rows can be matched onto; the
+component automaton's is the partition of the columns they touch, plus
+the count of zero rows.  A dense kernel is one gather through an
+automaton's per-prefix state codes: the truth table, the MC filter
+(through one table over the family states of the rows before and after
+each row) and the component counts behind chi.
 
-The signed walk at the end steps (state, weight) arrays of the family
-automaton over the rows of one graph, and gives a dual coefficient with
-no 2^(n^2) buffer at all; it needs no dense table, so it also runs at
-n = 6 and 7.
+The signed walk at the end steps (key, weight) arrays of the family
+automaton, for one graph or a batch of walks that read the same row, and
+gives dual coefficients with no 2^(n^2) buffer at all; it needs no dense
+table, so it also runs at n = 6 and 7.
 
 Sweeps take their thread count from :func:`default_threads`: the count
 scoped by :func:`thread_default` (the CLI's ``--threads``), else
@@ -145,25 +146,44 @@ def distinct_sorted(values) -> np.ndarray:
 # Row automata and the prefix codes read from them
 # ---------------------------------------------------------------------------
 
-def _row_automaton(n: int, start, successors: Callable) -> tuple[np.ndarray, tuple]:
-    """Breadth-first row automaton from ``start``: (T, states).
+def _row_automaton(n: int, start: int, step: Callable[[np.ndarray], np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first row automaton from the state key ``start``: (T, keys).
 
-    ``successors(state)`` lists the state after each of the 2^n rows, and
-    states are numbered in the order the search meets them, so ``start`` is
-    state 0.  ``T[state, row]`` is a table of the smallest unsigned dtype
-    that holds every state number.
+    A state is an int64 key, and ``step(keys)`` is the (len(keys), 2^n)
+    matrix of the keys after each row.  The search steps its queue a block
+    of states at a time, 2^20 transitions at most, and numbers the keys met
+    for the first time in (state, row) order.  So states are numbered level
+    by level, as a search that steps one state at a time numbers them, and
+    ``start`` is state 0.  ``keys[state]`` is each state's key;
+    ``T[state, row]`` is a table of the smallest unsigned dtype that holds
+    every state number.
     """
-    states = [start]
-    index = {start: 0}
-    trans: list[int] = []
-    for state in states:  # grows while it is read: a breadth-first search
-        for nxt in successors(state):
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-            trans.append(index[nxt])
-    t = np.array(trans, dtype=np.min_scalar_type(len(states) - 1)).reshape(-1, 1 << n)
-    return t, tuple(states)
+    keys = np.array([start], dtype=np.int64)
+    block, stepped, trans = max(1, (1 << 20) >> n), 0, []
+    while stepped < len(keys):
+        # stable sorts, so the first of equal keys is the one met first
+        by_key = np.argsort(keys, kind="stable")  # the states numbered so far
+        reached = step(keys[stepped:stepped + block]).ravel()
+        stepped = min(stepped + block, len(keys))
+        order = np.argsort(reached, kind="stable")
+        reached = reached[order]
+        first = np.ones(reached.shape, dtype=bool)
+        np.not_equal(reached[1:], reached[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        distinct, met = reached[starts], order[starts]
+        idx, found = sorted_lookup(keys[by_key], distinct)
+        ids = np.where(found, by_key[np.minimum(idx, len(keys) - 1)], 0)
+        new = np.flatnonzero(~found)
+        new = new[np.argsort(met[new], kind="stable")]  # in the order the search meets them
+        ids[new] = len(keys) + np.arange(len(new))
+        step_ids = np.empty(order.shape, dtype=np.int32)
+        step_ids[order] = np.repeat(ids, np.diff(starts, append=len(order)))
+        trans.append(step_ids)
+        keys = np.concatenate((keys, distinct[new]))
+    dtype = np.min_scalar_type(len(keys) - 1)
+    t = np.concatenate(trans, dtype=dtype, casting="unsafe").reshape(-1, 1 << n)
+    return t, keys
 
 
 @frozen_cache
@@ -179,7 +199,7 @@ def _grown(n: int, family: int) -> list[int]:
 
 @frozen_cache
 def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row automaton of the matchable column sets: (T, words).
+    """Row automaton of the matchable column sets: (T, words); n <= 7.
 
     A state is the family of column sets that the rows read so far can be
     matched onto, held as the 2^n-bit Python int ``words[state]`` (bit S for
@@ -188,15 +208,50 @@ def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     the family and every c in row \\ S.  The empty family (no matching left)
     is state :data:`EMPTY_FAMILY` and absorbing.  The families are the bases
     of a transversal matroid, so few occur: 407 states at n = 5.
+
+    After i rows every set of a nonempty family has i columns, so states
+    are numbered level by level, and the search keys a family by its level i
+    (above bit 4 * nibbles) over the bits of the C(n, i) sets of size i,
+    ascending: 35 bits at most, at n = 7.  The empty family is key 0 at
+    every level.  A step reads the key 4 bits at a time, each through a
+    table of the sets they grow into per added column.
     """
-    def successors(family: int) -> list[int]:
-        added = _grown(n, family)
-        nxt = [0] * (1 << n)
-        for row in range(1, 1 << n):
-            low = row & -row
-            nxt[row] = nxt[row ^ low] | added[low.bit_length() - 1]
-        return nxt
-    return _row_automaton(n, 1, successors)
+    if n > 7:
+        raise ValueError(f"families pack into 64-bit keys only for n <= 7, got n={n}")
+    sizes = [[s for s in range(1 << n) if s.bit_count() == i] for i in range(n + 1)]
+    nibbles = (max(map(len, sizes)) + 3) // 4
+    shift = 4 * nibbles  # the level sits above the set bits
+    # grown[i, p, v, c]: the key of the sets S | {c}, c not in S, for the sets
+    # S of level i whose bits are v in nibble p of the key
+    grown = np.zeros((n + 1, nibbles, 16, n), dtype=np.int64)
+    for i in range(n):
+        rank = {s: k for k, s in enumerate(sizes[i + 1])}
+        for k, s in enumerate(sizes[i]):
+            p, b = divmod(k, 4)
+            bit = [0 if s >> c & 1 else 1 << rank[s | 1 << c] | (i + 1) << shift
+                   for c in range(n)]
+            grown[i, p, 1 << b:2 << b] = grown[i, p, :1 << b] | np.array(bit)
+
+    def step(keys: np.ndarray) -> np.ndarray:
+        level = keys >> shift
+        added = np.zeros((len(keys), n), dtype=np.int64)
+        for p in range(nibbles):
+            added |= grown[level, p, (keys >> 4 * p) & 15]
+        out = np.zeros((len(keys), 1 << n), dtype=np.int64)
+        for c in range(n):  # rows with top column c: the rows below, plus c
+            np.bitwise_or(out[:, :1 << c], added[:, c, None], out=out[:, 1 << c:2 << c])
+        return out
+
+    trans, keys = _row_automaton(n, 1, step)
+    level = keys >> shift
+    bits = np.zeros((len(keys), 1 << n), dtype=np.uint8)
+    for i, sets in enumerate(sizes):
+        at = np.flatnonzero(level == i)  # the empty family, key 0, sets no bit
+        bits[at[:, None], sets] = (keys[at, None] >> np.arange(len(sets))) & 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return trans, tuple(int.from_bytes(raw[k:k + width], "little")
+                        for k in range(0, len(raw), width))
 
 
 @frozen_cache
@@ -347,18 +402,29 @@ def _component_automaton(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     at n.  A nonzero row merges every block that meets it with its columns.
     ``F[state]`` counts the blocks, the untouched columns and ``zeros``;
     there are (n + 1) * Bell(n + 1) states.
-    """
-    @lru_cache(maxsize=None)  # shared by the n + 1 zero-row counts
-    def merged(blocks: tuple[int, ...]) -> list[tuple[int, ...]]:
-        # the blocks are disjoint, so their sum is their union
-        return [tuple(sorted([b for b in blocks if not b & row]
-                             + [row | sum(b for b in blocks if b & row)]))
-                for row in range(1, 1 << n)]
 
-    def successors(state: tuple) -> list[tuple]:
-        blocks, zeros = state
-        return [(blocks, min(zeros + 1, n))] + [(b, zeros) for b in merged(blocks)]
-    trans, states = _row_automaton(n, ((), 0), successors)
+    The search keys a state by n fields of n bits, field j the block that
+    holds column j (0 while j is untouched), with ``zeros`` above them.
+    """
+    full, zero_row = (1 << n) - 1, 1 << (n * n)
+    spread = np.zeros(1 << n, dtype=np.int64)  # spread[U]: bit n * j for each j in U
+    for j in range(n):
+        spread[1 << j:2 << j] = spread[:1 << j] | 1 << (n * j)
+
+    def step(keys: np.ndarray) -> np.ndarray:
+        blocks = (keys[:, None] >> n * np.arange(n)) & full
+        merged = np.zeros((len(keys), 1 << n), dtype=np.int64)
+        for c in range(n):  # rows with top column c: the rows below, plus c's block
+            np.bitwise_or(merged[:, :1 << c], (blocks[:, c] | 1 << c)[:, None],
+                          out=merged[:, 1 << c:2 << c])
+        spread_rows = spread[merged]
+        out = keys[:, None] & ~(spread_rows * full) | spread_rows * merged
+        out[:, 0] = keys + zero_row * (keys < n * zero_row)
+        return out
+
+    trans, keys = _row_automaton(n, 0, step)
+    states = tuple((tuple(sorted({key >> (n * j) & full for j in range(n)} - {0})),
+                    key >> (n * n)) for key in keys.tolist())
     f = np.array([len(blocks) + n - sum(blocks).bit_count() + zeros
                   for blocks, zeros in states], dtype=np.int64)
     return trans, states, f
@@ -473,36 +539,51 @@ def _subset_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row steps of the signed walk as a CSR table (offsets, rows,
     signs): for the row s, ``rows[offsets[s]:offsets[s + 1]]`` is
     ``full ^ T`` for every T subseteq s and ``signs`` the matching
-    (-1)^{|s \\ T|}, int64; 3^n entries in all."""
+    (-1)^{|s \\ T|}, float64 as the walk sums in float64; 3^n entries in
+    all."""
     subsets = np.arange(1 << n)
     inside = (subsets[:, None] & subsets[None, :]) == subsets[None, :]  # [s, T]: T subseteq s
     owner, sub = np.nonzero(inside)
     offsets = np.zeros((1 << n) + 1, dtype=np.int64)
     np.cumsum(inside.sum(axis=1), out=offsets[1:])
-    signs = 1 - 2 * (popcount_array(owner ^ sub) & 1)
+    signs = (1 - 2 * (popcount_array(owner ^ sub) & 1)).astype(np.float64)
     return offsets, ((1 << n) - 1) ^ sub, signs
 
 
 def signed_family_step(n: int, walk: tuple[np.ndarray, np.ndarray], s: int
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """One row S_i of the signed family automaton.  ``walk`` is (states,
-    weights), two int64 arrays; every state steps on the row ``full ^ T_i``
-    for each T_i subseteq S_i, with weight (-1)^{|S_i \\ T_i|}, read from
-    :func:`_subset_steps`.  Returns the (states, weights) reached, ascending
-    by state, without the empty family (no matching left) or zero weights.
-    After i rows |weight| <= 2^(n*i), so int64 is exact for n <= 7, and
-    larger n is rejected."""
+    """One row S_i of the signed family automaton, for a batch of walks.
+
+    ``walk`` is (keys, weights), two int64 arrays, keys ascending: key
+    g * len(T) + state is a state of walk g = 0, 1, ..., so a lone walk's
+    keys are its states.  Every state steps on the row ``full ^ T_i`` for
+    each T_i subseteq S_i, with weight (-1)^{|S_i \\ T_i|}, read from
+    :func:`_subset_steps`.  Returns the (keys, weights) reached, ascending,
+    without the empty family (no matching left) or zero weights.
+
+    The weights are summed in one dense float64 table of len(T) entries per
+    walk, up to the last walk, so callers step a few walks at a time.  The
+    automaton numbers states level by level, and the states of a walk share
+    a level, so every state a walk reaches (but the empty family) is
+    numbered after its states: the table is read from walk 0's first state
+    on.  After i rows every partial sum is at most 2^(n*i) in magnitude, so
+    the sums are exact for n <= 7, and larger n is rejected.
+    """
     if n > 7:
-        raise ValueError(f"the signed walk is exact in int64 only for n <= 7, got n={n}")
+        raise ValueError(f"the signed walk is exact only for n <= 7, got n={n}")
     trans = _family_automaton(n)[0]
     offsets, rows, signs = _subset_steps(n)
     lo, hi = offsets[s], offsets[s + 1]
-    states, weights = walk
-    out = np.zeros(len(trans), dtype=np.int64)
-    np.add.at(out, trans[states[:, None], rows[lo:hi]], weights[:, None] * signs[lo:hi])
-    out[EMPTY_FAMILY] = 0
-    live = np.flatnonzero(out)
-    return live, out[live]
+    keys, weights = walk
+    if not len(keys):
+        return walk
+    states = keys % len(trans)
+    index = trans.take(states, axis=0).take(rows[lo:hi], axis=1) + (keys - states)[:, None]
+    sums = np.bincount(index.ravel(), (weights[:, None] * signs[lo:hi]).ravel())
+    sums[EMPTY_FAMILY::len(trans)] = 0
+    first = int(states[0]) + 1
+    live = sums[first:].nonzero()[0] + first
+    return live, sums[live].astype(np.int64)
 
 
 def signed_matchable_sum(n: int, rows: Iterable[int]) -> int:

@@ -105,17 +105,46 @@ def dual_polynomial(n: int) -> MultilinearPoly:
 def _ferrers_coefficients(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(degrees, dual coefficient) for every nonempty Ferrers shape: the
     non-increasing degree sequences d_1 >= ... >= d_n, row i being columns
-    0..d_i - 1; there are C(2n, n) - 1.  The shapes are walked as a trie on
-    their row prefixes, so a shared prefix runs the automaton once."""
-    def walk(prefix: tuple[int, ...], reached: tuple[np.ndarray, np.ndarray]):
-        if len(prefix) == n:
-            if prefix[0]:
-                yield prefix, -int(reached[1].sum())
-            return
-        for d in range(prefix[-1] if prefix else n, -1, -1):
-            yield from walk(prefix + (d,),
-                            _kernels.signed_family_step(n, reached, (1 << d) - 1))
-    return walk((), _kernels.FAMILY_START)
+    0..d_i - 1; there are C(2n, n) - 1.  They come in trie order: depth
+    first, larger degrees first.
+
+    The shapes are walked as a trie on their row prefixes, a level at a
+    time, so a shared prefix runs the automaton once.  The prefixes of one
+    length are a batch of walks; their children read one row per degree,
+    and the children of one degree are numbered together and stepped in
+    blocks of walks (:func:`_kernels.signed_family_step`).
+    """
+    size = len(_kernels._family_automaton(n)[0])
+    # walks per step: their table of sums, 2^16 float64 entries at most,
+    # stays in cache (n = 7 on 2 cores: 0.8 s, against 1.2 s at 2^17 and
+    # 1.9 s at 2^20)
+    per = max(1, (1 << 16) // size)
+    shapes = np.zeros((1, 0), dtype=np.int64)  # a row of degrees per prefix
+    keys, weights = _kernels.FAMILY_START  # key: prefix * size + state
+    for _ in range(n):
+        last = shapes[:, -1] if shapes.shape[1] else np.full(1, n)
+        prefix, states = np.divmod(keys, size)
+        children, reached = [], []
+        for d in range(n, -1, -1):  # the prefixes with a child of degree d
+            has = last >= d
+            parents, at = np.flatnonzero(has), np.flatnonzero(has[prefix])
+            moved = (np.cumsum(has) - 1)[prefix[at]] * size + states[at]
+            first = sum(map(len, children))
+            for lo in range(0, len(parents), per):
+                a, z = np.searchsorted(moved, [lo * size, (lo + per) * size])
+                k, w = _kernels.signed_family_step(
+                    n, (moved[a:z] - lo * size, weights[at[a:z]]), (1 << d) - 1)
+                reached.append((k + (first + lo) * size, w))
+            children.append(np.column_stack((shapes[parents], np.full(len(parents), d))))
+        shapes = np.concatenate(children)
+        keys = np.concatenate([k for k, _ in reached])
+        weights = np.concatenate([w for _, w in reached])
+    sums = np.zeros(len(shapes), dtype=np.int64)
+    np.add.at(sums, keys // size, weights)
+    order = np.lexsort(-shapes.T[::-1])  # by column 0 first, each descending
+    for degrees, c in zip(shapes[order].tolist(), (-sums[order]).tolist()):
+        if degrees[0]:
+            yield tuple(degrees), c
 
 
 def _orbit_size(n: int, degrees: tuple[int, ...]) -> int:

@@ -327,13 +327,13 @@ def l1_norm(p: MultilinearPoly) -> int:
 # benchmark workload writes it.
 _BATCH = 1024
 
-# Text terms rendered per write, each batch as one object array joined once
-# (write_text).  On the same 2 cores the n = 5 dual (95,161 terms) renders
-# warm in 10 ms at 1,024, 14 ms at 256, 18.5 ms at 128 and 28 ms at 64
-# (median of 9).  But the benchmark pass of `poly --n 5 --basis dual` peaked
-# at 70.3 to 70.4 MiB at 128, below the 70.6 MiB of the word-matrix
-# renderer it replaced, and at 70.7 to 70.9 at 256, 71.7 at 512 and 72.8 at
-# 1,024 (5 and 3 fresh processes).
+# Text terms rendered per write, each batch one gather from its block's
+# index and one join (write_text).  On the same 2 cores, under load from
+# other processes, the n = 5 dual (95,161 terms) renders warm in 14 ms at
+# 1,024, 15.5 ms at 256, 16.6 ms at 128 and 19 ms at 64 (median of 9, two
+# runs each).  The benchmark pass of `poly --n 5 --basis dual` peaked at
+# 71.0 to 71.2 MiB at 128, against 70.7 at 64, 71.9 at 256 and 72.1 at
+# 1,024 (3 fresh processes each).
 _TEXT_BATCH = 128
 
 
@@ -431,29 +431,32 @@ def write_text(p: MultilinearPoly, write) -> None:
     coefficient magnitude 1 is left implicit, other coefficients print as
     reduced fractions.
 
-    Each batch is one object array, a row per term: its head and one
-    :func:`_text_groups` entry per group of rows, the last ending the line.
-    The batch's text is the join of the array."""
+    Every piece of a line is an entry of one object table: the heads, then
+    each :func:`_text_groups` table, the last ending the line.  A block of
+    batches is one integer index into it, a row per term: its head and one
+    entry per group of rows.  Each batch of :data:`_TEXT_BATCH` terms is
+    then one gather and one join."""
     if not len(p):
         write("0\n")
         return
     values, heads = _text_heads(p)
     groups = _text_groups(p.n)
+    pieces = np.concatenate((heads,) + groups)
     # the masks ascend, so a stable sort by degree orders by (degree, mask)
     order = np.argsort(np.bitwise_count(p.masks), kind="stable")
-
-    def render(lo: int, hi: int) -> str:
-        idx = order[lo:hi]
+    block = 64 * _TEXT_BATCH
+    for lo in range(0, len(p), block):
+        idx = order[lo:lo + block]
         masks = p.masks[idx]
-        pcs = np.empty((hi - lo, 1 + len(groups)), dtype=object)
-        pcs[:, 0] = heads[np.searchsorted(values, p.coeffs[idx]) + len(values) * (masks == 0)]
-        shift = 0
+        index = np.empty((len(idx), 1 + len(groups)), dtype=np.intp)
+        index[:, 0] = np.searchsorted(values, p.coeffs[idx]) + len(values) * (masks == 0)
+        start, shift = len(heads), 0
         for g, table in enumerate(groups, 1):  # a table of 2^b entries reads the next b bits
-            pcs[:, g] = table[(masks >> shift) & (len(table) - 1)]
+            index[:, g] = start + ((masks >> shift) & (len(table) - 1))
+            start += len(table)
             shift += len(table).bit_length() - 1
-        return "".join(pcs.ravel().tolist())
-
-    _write_batches(write, len(p), render, "", _TEXT_BATCH)
+        for a in range(0, len(idx), _TEXT_BATCH):
+            write("".join(pieces.take(index[a:a + _TEXT_BATCH].ravel()).tolist()))
 
 
 def to_text(p: MultilinearPoly) -> str:

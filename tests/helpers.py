@@ -155,6 +155,64 @@ def oracle_ferrers_orbit(n: int, rows: list[int]) -> list[int]:
     return np.unique(masks).tolist()
 
 
+def oracle_row_automaton(n: int, start, successors):
+    """A queue-driven breadth-first row automaton from ``start``: (T, states).
+
+    ``successors(state)`` lists the state after each of the 2^n rows, and
+    states are numbered in the order the search meets them, so ``start`` is
+    state 0.  ``T[state, row]`` is a table of the smallest unsigned dtype
+    that holds every state number."""
+    states = [start]
+    index = {start: 0}
+    trans: list[int] = []
+    for state in states:  # grows while it is read: a breadth-first search
+        for nxt in successors(state):
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            trans.append(index[nxt])
+    t = np.array(trans, dtype=np.min_scalar_type(len(states) - 1)).reshape(-1, 1 << n)
+    return t, tuple(states)
+
+
+def oracle_family_automaton(n: int):
+    """The matchable-family automaton as (T, words), one family at a time:
+    a family is the 2^n-bit int of its column sets (bit S for set S), and
+    row r steps it to S | {c} for every S in it and every c in r \\ S."""
+    # word c has bit S set iff column c is not in subset S
+    without = [sum(1 << s for s in range(1 << n) if not (s >> c) & 1) for c in range(n)]
+
+    def successors(family: int) -> list[int]:
+        added = [(family & w) << (1 << c) for c, w in enumerate(without)]
+        nxt = [0] * (1 << n)
+        for row in range(1, 1 << n):
+            low = row & -row
+            nxt[row] = nxt[row ^ low] | added[low.bit_length() - 1]
+        return nxt
+    return oracle_row_automaton(n, 1, successors)
+
+
+def oracle_component_automaton(n: int):
+    """The component automaton as (T, states, F), one state at a time: a
+    state is (blocks, zeros), the sorted blocks of touched columns and the
+    zero rows read (capped at n); a nonzero row merges the blocks it meets
+    with its columns, and F counts blocks, untouched columns and zeros."""
+    @lru_cache(maxsize=None)  # shared by the n + 1 zero-row counts
+    def merged(blocks: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # the blocks are disjoint, so their sum is their union
+        return [tuple(sorted([b for b in blocks if not b & row]
+                             + [row | sum(b for b in blocks if b & row)]))
+                for row in range(1, 1 << n)]
+
+    def successors(state: tuple) -> list[tuple]:
+        blocks, zeros = state
+        return [(blocks, min(zeros + 1, n))] + [(b, zeros) for b in merged(blocks)]
+    trans, states = oracle_row_automaton(n, ((), 0), successors)
+    f = np.array([len(blocks) + n - sum(blocks).bit_count() + zeros
+                  for blocks, zeros in states], dtype=np.int64)
+    return trans, states, f
+
+
 def oracle_evaluate(terms: dict[int, int], mask: int) -> int:
     return sum(c for s, c in terms.items() if s & ~mask == 0)
 

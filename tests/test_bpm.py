@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -240,6 +241,22 @@ class TestDualPolynomial:
             rows = [(1 << d) - 1 for d in degrees]
             orbit = bpm._ferrers_orbit(n, rows)
             assert np.sort(orbit).tolist() == oracle_ferrers_orbit(n, rows), degrees
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_level_walk_matches_one_walk_per_shape(self, n):
+        """Every shape in trie order (depth first, larger degrees first:
+        lexicographically descending), each coefficient that of one walk
+        over its rows; every shape at n <= 5, a seeded sample at n = 6."""
+        got = list(bpm._ferrers_coefficients(n))
+        shapes = [d for d in itertools.product(range(n, -1, -1), repeat=n)
+                  if d[0] and all(a >= b for a, b in zip(d, d[1:]))]
+        assert [d for d, _ in got] == shapes
+        picked = range(len(got)) if n <= 5 else np.random.default_rng(67).choice(
+            len(got), size=60, replace=False).tolist()
+        for i in picked:
+            degrees, c = got[i]
+            rows = [(1 << d) - 1 for d in degrees]
+            assert c == -_kernels.signed_matchable_sum(n, rows), degrees
 
     def test_orbit_count_mismatch_raises(self, monkeypatch):
         clear_caches()

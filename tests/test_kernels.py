@@ -9,8 +9,11 @@ import ast
 import importlib
 import inspect
 import itertools
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from matchpoly.bitgraph import (
     has_pm_mask,
 )
 
-from helpers import clear_caches, n5_uniform_or_dense
+from helpers import (clear_caches, n5_uniform_or_dense, oracle_component_automaton,
+                     oracle_family_automaton)
 
 # n = 5 examples build the state-code and reach tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -363,6 +367,50 @@ class TestFamilyAutomaton:
         assert -_kernels.signed_matchable_sum(6, rows) == coefficient
 
 
+class TestArrayAutomata:
+    """The array search of ``_kernels._row_automaton`` against the
+    queue-driven search, one state at a time, that it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.large)])
+    def test_family_automaton_matches_queue_search(self, n):
+        trans, words = _kernels._family_automaton(n)
+        want_trans, want_words = oracle_family_automaton(n)
+        assert trans.dtype == want_trans.dtype and np.array_equal(trans, want_trans)
+        assert words == want_words
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_component_automaton_matches_queue_search(self, n):
+        trans, states, counts = _kernels._component_automaton(n)
+        want_trans, want_states, want_counts = oracle_component_automaton(n)
+        assert trans.dtype == want_trans.dtype and np.array_equal(trans, want_trans)
+        assert states == want_states
+        assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+
+    def test_family_keys_stop_at_n7(self):
+        with pytest.raises(ValueError, match="n <= 7"):
+            _kernels._family_automaton(8)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_batch_steps_each_walk_alone(self, n):
+        # walk g's keys are g * len(T) + state; walk 1 is left empty, and the
+        # walks start from staircase rows of n, n - 1 and n - 2 columns
+        size = len(_kernels._family_automaton(n)[0])
+        alone = {g: _kernels.signed_family_step(n, _kernels.FAMILY_START, (1 << (n - j)) - 1)
+                 for j, g in enumerate((0, 2, 3))}
+        keys = np.concatenate([g * size + k for g, (k, _) in alone.items()])
+        weights = np.concatenate([w for _, w in alone.values()])
+        for d in range(n - 1, 0, -1):
+            keys, weights = _kernels.signed_family_step(n, (keys, weights), (1 << d) - 1)
+            alone = {g: _kernels.signed_family_step(n, walk, (1 << d) - 1)
+                     for g, walk in alone.items()}
+            assert keys.dtype == weights.dtype == np.int64 and np.all(np.diff(keys) > 0)
+            assert set((keys // size).tolist()) == {g for g, (k, _) in alone.items() if k.size}
+            for g, (k, w) in alone.items():
+                mine = keys // size == g
+                assert (keys[mine] - g * size).tolist() == k.tolist()
+                assert weights[mine].tolist() == w.tolist()
+
+
 class TestSmallKernels:
     @given(st.lists(st.integers(0, (1 << 62) - 1), max_size=50))
     @PROPERTY
@@ -467,6 +515,30 @@ def test_only_kernels_freezes_arrays_or_imports_lru_cache():
                          or node.attr == "writeable" and isinstance(node.ctx, ast.Store))):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_import_fills_no_cache():
+    """Every table is built on first use: in a fresh process, importing the
+    CLI leaves every cache of the package empty, so no command's set-up
+    pays for a table it does not read."""
+    src = str(pathlib.Path(matchpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = """
+import sys
+import matchpoly.cli
+caches = {f"{name}.{attr}": value.cache_info().currsize
+          for name, module in list(sys.modules.items())
+          if name == "matchpoly" or name.startswith("matchpoly.")
+          for attr, value in vars(module).items()
+          if callable(getattr(value, "cache_info", None))}
+print(len(caches), sorted(name for name, size in caches.items() if size))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, filled = proc.stdout.split(" ", 1)
+    assert int(count) >= 10 and filled == "[]\n"
 
 
 def test_per_n_caches_hand_out_read_only_arrays():

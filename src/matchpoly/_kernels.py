@@ -3,7 +3,7 @@
 Bit layout matches :mod:`matchpoly.bitgraph`: masks are integers whose bit
 ``(i-1)*n + (j-1)`` is edge ``(i, j)``, so a mask indexes the cached truth and
 chi tables below; MC membership has no table, as the primal's terms are MC_n.
-n = 5 sweeps (33.5M masks) are chunked so the resident set stays a few hundred MiB.
+n = 5 sweeps (33.5M masks) are chunked: ``count --n 5 --what mc`` peaks at 56 MiB.
 Each per-n table is built once per process under :func:`frozen_cache`, the
 package's one decorator for per-n caches: it freezes the arrays a builder
 returns, so every caller shares one read-only copy.
@@ -11,12 +11,14 @@ returns, so every caller shares one read-only copy.
 Two row automata come from one breadth-first builder, an array search
 over int64 state keys: a state sums up the rows read so far, and a row
 step is one lookup in T[state, row].  The matchable-family automaton's
-state is the family of column sets those rows can be matched onto; the
-component automaton's is the partition of the columns they touch, plus
-the count of zero rows.  A dense kernel is one gather through an
-automaton's per-prefix state codes: the truth table, the MC filter
-(through one table over the family states of the rows before and after
-each row) and the component counts behind chi.
+state is the family of column sets those rows can be matched onto, one
+row of a boolean member matrix over the 2^n sets; the component
+automaton's is the partition of the columns they touch, plus the count of
+zero rows.  A dense kernel is one gather through an automaton's
+per-prefix state codes: the truth table (the member column of the full
+set), the MC filter (through one reach table over the family states of
+the rows before and after each row, built from the member rows a column
+at a time) and the component counts behind chi.
 
 The signed walk at the end steps (key, weight) arrays of the family
 automaton, for one graph or a batch of walks that read the same row, and
@@ -187,25 +189,14 @@ def _row_automaton(n: int, start: int, step: Callable[[np.ndarray], np.ndarray]
 
 
 @frozen_cache
-def _without_column(n: int) -> tuple[int, ...]:
-    """Word c has bit S set iff column c is not in subset S."""
-    return tuple(sum(1 << s for s in range(1 << n) if not (s >> c) & 1) for c in range(n))
-
-
-def _grown(n: int, family: int) -> list[int]:
-    """Word c has bit S | {c} for every set S of ``family`` that misses c."""
-    return [(family & w) << (1 << c) for c, w in enumerate(_without_column(n))]
-
-
-@frozen_cache
-def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row automaton of the matchable column sets: (T, words); n <= 7.
+def _family_automaton(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row automaton of the matchable column sets: (T, members); n <= 7.
 
     A state is the family of column sets that the rows read so far can be
-    matched onto, held as the 2^n-bit Python int ``words[state]`` (bit S for
-    set S); at state 0 only the empty set is.  ``T[state, row]`` reads one
-    more left vertex with neighbour row ``row``: S -> S | {c} for every S in
-    the family and every c in row \\ S.  The empty family (no matching left)
+    matched onto, held as the boolean row ``members[state]`` of length 2^n,
+    True at each set S of the family; at state 0 only the empty set is.
+    ``T[state, row]`` reads one more left vertex with neighbour row ``row``:
+    S -> S | {c} for every S in the family and every c in row \\ S.  The empty family (no matching left)
     is state :data:`EMPTY_FAMILY` and absorbing.  The families are the bases
     of a transversal matroid, so few occur: 407 states at n = 5.
 
@@ -214,7 +205,8 @@ def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     (above bit 4 * nibbles) over the bits of the C(n, i) sets of size i,
     ascending: 35 bits at most, at n = 7.  The empty family is key 0 at
     every level.  A step reads the key 4 bits at a time, each through a
-    table of the sets they grow into per added column.
+    table of the sets they grow into per added column.  The member rows are
+    the keys' bits spread out at the end.
     """
     if n > 7:
         raise ValueError(f"families pack into 64-bit keys only for n <= 7, got n={n}")
@@ -244,14 +236,11 @@ def _family_automaton(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
     trans, keys = _row_automaton(n, 1, step)
     level = keys >> shift
-    bits = np.zeros((len(keys), 1 << n), dtype=np.uint8)
+    members = np.zeros((len(keys), 1 << n), dtype=bool)
     for i, sets in enumerate(sizes):
-        at = np.flatnonzero(level == i)  # the empty family, key 0, sets no bit
-        bits[at[:, None], sets] = (keys[at, None] >> np.arange(len(sets))) & 1
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    return trans, tuple(int.from_bytes(raw[k:k + width], "little")
-                        for k in range(0, len(raw), width))
+        at = np.flatnonzero(level == i)  # the empty family, key 0, holds no set
+        members[at[:, None], sets] = (keys[at, None] >> np.arange(len(sets))) & 1
+    return trans, members
 
 
 @frozen_cache
@@ -273,12 +262,11 @@ def _prefix_codes(n: int, automaton: Callable = _family_automaton) -> tuple[np.n
 def truth_table(n: int) -> np.ndarray:
     """uint8 array of length 2^(n^2): 1 iff the mask's graph has a perfect
     matching, i.e. iff the last row steps the state of the first n - 1 rows
-    to a family holding the full set.
+    to a family holding the full set (the last column of its member row).
     """
     codes = _prefix_codes(n)[-1]
-    trans, words = _family_automaton(n)
-    full = (1 << n) - 1
-    matched = np.array([(w >> full) & 1 for w in words], dtype=np.uint8)
+    trans, members = _family_automaton(n)
+    matched = members[:, -1].astype(np.uint8)
     return np.take(matched[trans].T, codes, axis=1).reshape(-1)  # (last row, prefix)
 
 
@@ -295,14 +283,23 @@ def _reach_table(n: int) -> np.ndarray:
     With p the state of the rows before row i and q that of the rows after
     it, bit j says that edge (i, j), present or not, lies on a perfect
     matching of the graph with that edge added.
+
+    Per column j, the 2^(n-1) sets S that avoid j are packed twice into one
+    uint64 word per state, from the member rows: bit k of ``ours[p]`` is
+    whether family p holds the k-th such S, of ``theirs[q]`` whether family q
+    holds its rest.  Bit j of R[p, q] is then ``ours[p] & theirs[q] != 0``.
     """
-    words = _family_automaton(n)[1]
+    members = _family_automaton(n)[1]
     full = (1 << n) - 1
-    flipped = np.array([sum(1 << (full ^ s) for s in range(full + 1) if (w >> s) & 1)
-                        for w in words], dtype=np.uint64)
-    grown = np.array([_grown(n, w) for w in words], dtype=np.uint64)
-    hit = (grown[:, None, :] & flipped[None, :, None]) != 0
-    return np.packbits(hit, axis=2, bitorder="little")[:, :, 0]
+    sets = np.arange(full + 1)
+    weights = np.uint64(1) << np.arange(len(sets) // 2, dtype=np.uint64)  # bit k: the k-th S
+    reach = np.zeros((len(members),) * 2, dtype=np.uint8)
+    for j in range(n):
+        avoid = sets[(sets >> j) & 1 == 0]
+        ours = (members[:, avoid] * weights).sum(axis=1, dtype=np.uint64)
+        theirs = (members[:, full ^ avoid ^ 1 << j] * weights).sum(axis=1, dtype=np.uint64)
+        reach |= ((ours[:, None] & theirs) != 0).view(np.uint8) << np.uint8(j)
+    return reach
 
 
 def _row_reach(n: int, i: int, masks: np.ndarray) -> np.ndarray:

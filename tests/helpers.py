@@ -175,21 +175,51 @@ def oracle_row_automaton(n: int, start, successors):
     return t, tuple(states)
 
 
+@lru_cache(maxsize=None)
+def _without_column(n: int) -> tuple[int, ...]:
+    """Word c has bit S set iff column c is not in subset S."""
+    return tuple(sum(1 << s for s in range(1 << n) if not (s >> c) & 1) for c in range(n))
+
+
+def _grown(n: int, family: int) -> list[int]:
+    """Word c has bit S | {c} for every set S of ``family`` that misses c."""
+    return [(family & w) << (1 << c) for c, w in enumerate(_without_column(n))]
+
+
+def family_words(members) -> tuple[int, ...]:
+    """Each boolean member row of ``_family_automaton`` as the int with bit S
+    for each set S the row holds."""
+    packed = np.packbits(members, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def oracle_family_automaton(n: int):
     """The matchable-family automaton as (T, words), one family at a time:
     a family is the 2^n-bit int of its column sets (bit S for set S), and
     row r steps it to S | {c} for every S in it and every c in r \\ S."""
-    # word c has bit S set iff column c is not in subset S
-    without = [sum(1 << s for s in range(1 << n) if not (s >> c) & 1) for c in range(n)]
-
     def successors(family: int) -> list[int]:
-        added = [(family & w) << (1 << c) for c, w in enumerate(without)]
+        added = _grown(n, family)
         nxt = [0] * (1 << n)
         for row in range(1, 1 << n):
             low = row & -row
             nxt[row] = nxt[row ^ low] | added[low.bit_length() - 1]
         return nxt
     return oracle_row_automaton(n, 1, successors)
+
+
+def oracle_reach_table(n: int) -> np.ndarray:
+    """The reach table from the families as words, n <= 6: bit j of
+    R[p, q] is set iff family q holds full ^ (S | {j}) for some S of family
+    p that misses j.  Word j of :func:`_grown` holds S | {j} for each such
+    S, and family q's sets are flipped to full ^ S, so one AND per pair and
+    column decides the bit (a (states, states, n) uint64 temporary)."""
+    words = oracle_family_automaton(n)[1]
+    full = (1 << n) - 1
+    flipped = np.array([sum(1 << (full ^ s) for s in range(full + 1) if (w >> s) & 1)
+                        for w in words], dtype=np.uint64)
+    grown = np.array([_grown(n, w) for w in words], dtype=np.uint64)
+    hit = (grown[:, None, :] & flipped[None, :, None]) != 0
+    return np.packbits(hit, axis=2, bitorder="little")[:, :, 0]
 
 
 def oracle_component_automaton(n: int):

@@ -31,8 +31,8 @@ from matchpoly.bitgraph import (
     has_pm_mask,
 )
 
-from helpers import (clear_caches, n5_uniform_or_dense, oracle_component_automaton,
-                     oracle_family_automaton)
+from helpers import (clear_caches, family_words, n5_uniform_or_dense, oracle_component_automaton,
+                     oracle_family_automaton, oracle_reach_table)
 
 # n = 5 examples build the state-code and reach tables on first use; keep runs repeatable
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -261,7 +261,7 @@ class TestRowProfile:
     def test_levels_list_matchable_column_sets(self, prefix):
         # rows 1..3 of an n = 5 mask; bit S iff they match onto exactly S
         rows = [(prefix >> (5 * i)) & 31 for i in range(3)]
-        words = _kernels._family_automaton(5)[1]
+        words = family_words(_kernels._family_automaton(5)[1])
         word = words[_kernels._prefix_codes(5)[3][prefix]]
         for s in range(32):
             expected = any(all((rows[i] >> cols[i]) & 1 for i in range(3))
@@ -272,7 +272,7 @@ class TestRowProfile:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reach_table_matches_definition(self, n):
         # bit j of R[p, q]: some S in family p avoids j, full ^ (S | {j}) is in q
-        words = _kernels._family_automaton(n)[1]
+        words = family_words(_kernels._family_automaton(n)[1])
         reach = _kernels._reach_table(n)
         assert reach.shape == (len(words), len(words)) and reach.dtype == np.uint8
         assert not reach.flags.writeable
@@ -284,6 +284,10 @@ class TestRowProfile:
                                if any(not (s >> j) & 1 and full ^ s ^ (1 << j) in after
                                       for s in before))
                 assert reach[p, q] == expected, (p, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.large)])
+    def test_reach_table_matches_word_oracle(self, n):
+        assert np.array_equal(_kernels._reach_table(n), oracle_reach_table(n))
 
     def test_dense_tables_stop_at_n5(self):
         for table in (_kernels._prefix_codes, _kernels.truth_table):
@@ -302,10 +306,15 @@ FAMILY_STATES = {1: 3, 2: 6, 3: 17, 4: 69, 5: 407, 6: 3_763, 7: 64_185}
 class TestFamilyAutomaton:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.large)])
     def test_state_counts_and_dtypes(self, n):
-        trans, words = _kernels._family_automaton(n)
+        trans, members = _kernels._family_automaton(n)
+        words = family_words(members)
         assert len(words) == FAMILY_STATES[n] and trans.shape == (len(words), 1 << n)
         assert trans.dtype == (np.uint8 if n <= 4 else np.uint16)
         assert words[0] == 1 and words[_kernels.EMPTY_FAMILY] == 0
+        assert members.dtype == bool and members.shape == (len(words), 1 << n)
+        assert not members.flags.writeable
+        assert members[0].tolist() == [True] + [False] * ((1 << n) - 1)  # only the empty set
+        assert not members[_kernels.EMPTY_FAMILY].any()
 
     def test_signed_walk_stops_at_n7(self):
         misses = _kernels._family_automaton.cache_info().misses
@@ -332,7 +341,8 @@ class TestFamilyAutomaton:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_row_step_matches_definition(self, n):
-        trans, words = _kernels._family_automaton(n)
+        trans, members = _kernels._family_automaton(n)
+        words = family_words(members)
         assert trans.shape == (len(words), 1 << n) and words[0] == 1
         for state, family in enumerate(words):
             sets = [s for s in range(1 << n) if (family >> s) & 1]
@@ -343,7 +353,8 @@ class TestFamilyAutomaton:
 
     @pytest.mark.parametrize("n", sorted(MATCHABLE_GRAPHS))
     def test_unsigned_walk_counts_matchable_graphs(self, n):
-        trans, words = _kernels._family_automaton(n)
+        trans, members = _kernels._family_automaton(n)
+        words = family_words(members)
         weights = {0: 1}
         for _ in range(n):  # every row, weight 1 each
             step: dict[int, int] = {}
@@ -373,7 +384,8 @@ class TestArrayAutomata:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.large)])
     def test_family_automaton_matches_queue_search(self, n):
-        trans, words = _kernels._family_automaton(n)
+        trans, members = _kernels._family_automaton(n)
+        words = family_words(members)
         want_trans, want_words = oracle_family_automaton(n)
         assert trans.dtype == want_trans.dtype and np.array_equal(trans, want_trans)
         assert words == want_words

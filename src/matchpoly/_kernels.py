@@ -35,7 +35,6 @@ results never depend on scheduling and memory stays bounded by the window.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache, wraps
@@ -81,6 +80,9 @@ def map_chunks(fn: Callable[[int, int], object], total: int, threads: int) -> li
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if threads <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
+    # imported here: concurrent.futures pulls in logging and queue, several
+    # ms of every start of a command that never starts a pool
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 

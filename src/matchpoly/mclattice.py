@@ -21,19 +21,24 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _kernels, bpm
+from . import _kernels, bpm, polyalg
 from .bitgraph import BipartiteGraph, left_neighborhoods, union_of_perfect_matchings
 from .caps import require_hard
 from .matchcov import is_matching_covered
-from .polyalg import _write_document
 
 
 # nodes whose (node, edge) pairs are looked up at once.  At n = 4 a block
-# holds about 10,000 of the 79,232 pairs; `lattice --n 4 --format json`
-# peaked at 35.2 MiB RSS with blocks of 256 or 1,024 nodes, 37.0 MiB with
-# 4,096 and 39.0 MiB with all 7,444 at once; build_lattice(4) took 26, 23,
-# 24 and 19 ms (2 Xeon cores)
+# holds about 10,000 of the 79,232 pairs; in a fresh process (2 Xeon
+# cores, two runs each) `lattice --n 4 --format json` peaks at 34.0 MiB RSS
+# with blocks of 1,024 nodes, 34.4 with 256, 35.4 with 4,096 and 37.1 with
+# all 7,444 at once, and build_lattice(4) takes 10 ms at 1,024, 4,096 or
+# all, 11 to 12 ms at 256 (median of 9)
 _COVER_NODES = 1024
+
+
+# a cover [a, b] at indent 4 around its node ids, then the separator to the
+# next cover, or the closing bracket of the last
+_COVER_PIECES = ["    [\n      ", ",\n      ", "\n    ],\n", "\n    ]"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +70,39 @@ class McLattice:
 
     def write_json(self, write) -> None:
         """The JSON document at indent 2: ``n``, the nodes with their rank and
-        Moebius number, and the covering pairs as node indices."""
-        def nodes(lo: int, hi: int) -> str:
-            return ",\n".join([
-                f'    {{\n      "mask": "{m:#x}",\n      "rank": {r},'
-                f'\n      "mobius": {mu}\n    }}'
-                for m, r, mu in zip(self.masks[lo:hi].tolist(), self.rank[lo:hi].tolist(),
-                                    self.mobius[lo:hi].tolist())])
+        Moebius number, and the covering pairs as node indices.
 
-        def covers(lo: int, hi: int) -> str:
-            return ",\n".join([f"    [\n      {a},\n      {b}\n    ]"
-                                for a, b in self.cover_edges[lo:hi].tolist()])
+        Both lists render as :func:`polyalg.write_json`'s terms do.  A node
+        is its hex mask, then its rank and its Moebius number (with the
+        separator to the next node) from tables of their distinct values.  A
+        cover (a, b) is a and b from one table of the ids up to the largest
+        node or cover index, around :data:`_COVER_PIECES`; one table of short
+        strings, not one per position, keeps the n = 4 peak RSS down."""
+        ranks = _kernels.distinct_sorted(self.rank)
+        mobius = _kernels.distinct_sorted(self.mobius)
+        node_pieces = np.concatenate((
+            np.array([f'",\n      "rank": {r}' for r in ranks.tolist()], dtype=object),
+            polyalg._json_tails("mobius", mobius, self.mobius)))
 
-        _write_document(write, {"n": self.n}, {"nodes": (len(self), nodes),
-                                               "cover_edges": (len(self.cover_edges), covers)})
+        def node_rows(lo: int, hi: int) -> np.ndarray:
+            index = np.empty((hi - lo, 2), dtype=np.intp)
+            index[:, 0] = np.searchsorted(ranks, self.rank[lo:hi])
+            index[:, 1] = len(ranks) + np.searchsorted(mobius, self.mobius[lo:hi])
+            return index
+
+        covers = self.cover_edges
+        ids = max(len(self), int(covers.max(initial=-1)) + 1)
+        cover_pieces = np.array(list(map(str, range(ids))) + _COVER_PIECES, dtype=object)
+
+        def cover_rows(lo: int, hi: int) -> np.ndarray:
+            index = np.empty((hi - lo, 5), dtype=np.intp)
+            index[:, ::2] = ids + np.arange(3)
+            index[:, 1::2] = covers[lo:hi]
+            return index
+
+        polyalg._write_document(write, {"n": self.n}, {
+            "nodes": (node_pieces, len(self), node_rows, self.masks),
+            "cover_edges": (cover_pieces, len(covers), cover_rows, None)})
 
     def to_json_dict(self) -> dict:
         """:meth:`write_json`'s document, parsed."""
@@ -140,8 +164,10 @@ def build_lattice(n: int) -> McLattice:
             f"{int(mobius[bad] - sums[bad])}, not (-1)^rank; the lattice is not "
             f"behaving as an Eulerian one")
 
-    # (lower, upper) pairs as lower * len(masks) + upper, so that sorting
-    # them sorts the pairs
+    # each mask's node index, -1 off the lattice; (lower, upper) pairs as
+    # lower * len(masks) + upper, so that sorting them sorts the pairs
+    node_of = np.full(1 << (n * n), -1, dtype=np.int32)
+    node_of[masks] = np.arange(len(masks), dtype=np.int32)
     keys = []
     for start in range(0, len(masks), _COVER_NODES):
         upper = start + np.arange(min(_COVER_NODES, len(masks) - start))
@@ -149,15 +175,15 @@ def build_lattice(n: int) -> McLattice:
         upper = upper[node]
         less = masks[upper] ^ (1 << edge)
         below = _kernels.allowed_edge_masks(n, less)
-        lower, found = _kernels.sorted_lookup(masks, below)
-        if not found.all():
-            bad = int(np.argmin(found))
+        lower = node_of[below]
+        if lower.min(initial=0) < 0:
+            bad = int(np.argmin(lower))
             raise RuntimeError(
                 f"the perfect matchings of {int(less[bad]):#x} (node "
                 f"{int(masks[upper[bad]]):#x} less an edge) cover {int(below[bad]):#x}, "
                 f"which is not a lattice node")
         cover = rank[lower] == rank[upper] - 1
-        keys.append(lower[cover] * len(masks) + upper[cover])
+        keys.append(lower[cover].astype(np.int64) * len(masks) + upper[cover])
     keys = _kernels.distinct_sorted(np.concatenate(keys))
     cover_edges = np.stack(np.divmod(keys, len(masks)), axis=1).astype(np.int32)
 

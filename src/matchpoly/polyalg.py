@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -319,12 +319,13 @@ def l1_norm(p: MultilinearPoly) -> int:
 # ---------------------------------------------------------------------------
 
 # JSON elements (terms, lattice nodes or covers) rendered per write.
-# Measured on 2 Xeon cores, write_json to a discarding sink in a fresh
-# process, median of 9: the n = 4 Fourier document took 32 to 54 ms at
-# 1,024, 34 to 50 ms at 256 and 75 ms at 64, and 4,096 raised peak RSS by
-# 6 MiB and 16,384 by 22 MiB.  The n = 5 dual (1 MB of text per 1,024
-# terms) took 98 to 121 ms at 1,024 and 55 to 95 ms at 256 or 512; no
-# benchmark workload writes it.
+# Measured on 2 Xeon cores, each writer to a discarding sink in a fresh
+# process, median of 9, two runs: the n = 4 Fourier document takes 13.7 to
+# 13.8 ms at 1,024, 13.9 to 14.0 at 512, 14.5 to 15.0 at 256 and 16 to 19
+# at 4,096, where `poly --n 4 --basis fourier --format json` peaks at 42.2
+# MiB against 35.5; the n = 4 lattice document takes 5.7 to 6.2 ms at
+# every size.  The n = 5 dual (1 MB of text per 1,024 terms) takes 33 ms
+# at 1,024 and 24 ms at 256 or 512; no benchmark workload writes it.
 _BATCH = 1024
 
 # Text terms rendered per write, each batch one gather from its block's
@@ -336,77 +337,127 @@ _BATCH = 1024
 # 1,024 (3 fresh processes each).
 _TEXT_BATCH = 128
 
+# elements whose index rows are computed at once, in whole batches.  At
+# 65,536 (the n = 4 Fourier document in one block) `poly --n 4 --basis
+# fourier --format json` peaked at 37.3 MiB against 35.6 at 8,192, and
+# wrote in 14.5 ms against 13.0 to 13.4 (same host, fresh processes)
+_BLOCK = 8192
 
-def _write_batches(write, count: int, render, sep: str, size: int) -> None:
-    """Write ``render(lo, hi)`` for consecutive slices of ``range(count)``,
-    ``size`` at a time, with ``sep`` between them."""
-    lead = ""
-    for lo in range(0, count, size):
-        write(lead + render(lo, min(lo + size, count)))
-        lead = sep
+
+def _joined_batches(pieces: np.ndarray, count: int, size: int,
+                    rows: Callable[[int, int], np.ndarray],
+                    masks: np.ndarray | None = None) -> Iterator[str]:
+    """The text of elements 0 to ``count`` - 1, ``size`` elements per batch,
+    each batch one gather from the object table ``pieces`` and one join.
+
+    ``rows(lo, hi)`` returns the integer index of elements lo to hi - 1, a
+    row each, for blocks of whole batches of about :data:`_BLOCK` elements.
+    Element k's text is the entries of ``pieces`` at its row; with
+    ``masks``, they follow the opening of a JSON object and its ``mask``
+    key, ``hex(masks[k])``."""
+    block = size * max(1, _BLOCK // size)
+    for lo in range(0, count, block):
+        index = rows(lo, min(lo + block, count))
+        for a in range(0, len(index), size):
+            take = pieces.take(index[a:a + size])
+            if masks is None:
+                yield "".join(take.ravel().tolist())
+                continue
+            flat = np.empty((len(take), 2 + take.shape[1]), dtype=object)
+            flat[:, 0] = _MASK_OPEN
+            flat[:, 1] = list(map(hex, masks[lo + a:lo + a + len(take)].tolist()))
+            flat[:, 2:] = take
+            yield "".join(flat.ravel().tolist())
 
 
 def _write_document(write, head: dict, lists: dict) -> None:
     r"""Write ``json.dumps(doc, indent=2) + "\n"`` for the dict holding the
-    scalars of ``head`` and then the lists of ``lists``.  A list is given as
-    ``(count, render)``: ``render(lo, hi)`` returns its elements lo to hi - 1
-    at indent 4, joined by ",\n"."""
+    scalars of ``head`` and then the lists of ``lists``.
+
+    A list is given as ``(pieces, count, rows, masks)``, its elements at
+    indent 4 rendered by :func:`_joined_batches`, :data:`_BATCH` to a
+    write.  Every element's last piece ends it with ",\n", but for the
+    last element's, which ``pieces`` holds as its last entry."""
     text = "{" + "".join(f"\n  {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items())
-    for key, (count, render) in lists.items():
+    for key, (pieces, count, rows, masks) in lists.items():
+        def closed(lo: int, hi: int) -> np.ndarray:
+            index = rows(lo, hi)
+            if hi == count:
+                index[-1, -1] = len(pieces) - 1
+            return index
+
         write(f"{text}\n  {json.dumps(key)}: [" + ("\n" if count else ""))
-        _write_batches(write, count, render, ",\n", _BATCH)
+        for batch in _joined_batches(pieces, count, _BATCH, closed, masks):
+            write(batch)
         text = "\n  ]," if count else "],"
     write(text[:-1] + "\n}\n")
 
 
-@_kernels.frozen_cache
-def _row_edges(n: int) -> np.ndarray:
-    """Read-only ``(n, 2^(n+1))`` object table of a term's ``edges`` list,
-    row by row.  ``[i, r]`` is the JSON ``[a, b]`` at indent 8, each followed
-    by ",\\n", of the 1-based edges (a, b) of 0-based row i holding the n-bit
-    neighbour set r, ascending by column.  ``[i, 2^n + r]`` is the same text
-    for the term's last nonempty row: no separator after its last edge, and
-    the list's closing bracket; empty for r = 0, which only the zero mask
-    reads there."""
-    form = "        [\n          {},\n          {}\n        ],\n"
-    table = np.empty((n, 2 << n), dtype=object)
-    for i in range(n):
-        for r in range(1 << n):
-            text = "".join(form.format(i + 1, j + 1) for j in range(n) if r >> j & 1)
-            table[i, r] = text
-            table[i, (1 << n) + r] = text and text[:-2] + "\n      ]"
-    return table
-
-
-# a term's JSON around its mask, edges and coefficient: _TERM_HEAD is
-# indexed by whether the term has an edge, and _TERM_SEP closes a term and
-# opens the next
-_TERM_OPEN = '    {\n      "mask": "'
-_TERM_HEAD = np.array(['",\n      "edges": []', '",\n      "edges": [\n'], dtype=object)
-_TERM_COEFF = ',\n      "coeff": '
-_TERM_CLOSE = "\n    }"
-_TERM_SEP = _TERM_CLOSE + ",\n" + _TERM_OPEN
-
-
-@_kernels.frozen_cache
-def _text_groups(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only object tables of a term's variables, a group of rows at a
-    time: rows 2k and 2k + 1 at n <= 5, single rows above, so no table has
-    more than 2^10 entries.  Entry v of a group's table is ``" x_{i,j}"``
-    for each set bit of the group's bits v, ascending; the last table's
-    entries end in ``"\\n"``."""
+def _row_groups(n: int, word: str) -> list[list[str]]:
+    """A term's variables, a group of rows at a time: rows 2k and 2k + 1 at
+    n <= 5, single rows above, so no group has more than 2^10 entries.
+    Entry v of a group's list joins ``word.format(i, j)`` over the 1-based
+    edges (i, j) of the set bits of the group's bits v, ascending."""
     per = 2 if n <= 5 else 1
-    tables = []
+    groups = []
     for first in range(0, n, per):
-        words = [f" x_{{{first + b // n + 1},{b % n + 1}}}"
+        words = [word.format(first + b // n + 1, b % n + 1)
                  for b in range(n * min(per, n - first))]
         table = [""] * (1 << len(words))
         for v in range(1, len(table)):  # lowest bit first, then the rest
             low = v & -v
             table[v] = words[low.bit_length() - 1] + table[v ^ low]
-        tables.append(np.array(table, dtype=object))
+        groups.append(table)
+    return groups
+
+
+@_kernels.frozen_cache
+def _text_groups(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only object tables of :func:`_row_groups`' ``" x_{i,j}"`` words;
+    the last table's entries end in ``"\\n"``."""
+    tables = [np.array(t, dtype=object) for t in _row_groups(n, " x_{{{},{}}}")]
     tables[-1] += "\n"
     return tuple(tables)
+
+
+# a JSON term or lattice node opens with _MASK_OPEN and its hex mask, and
+# ends with _OBJECT_SEP, or with _OBJECT_CLOSE when it is its list's last
+_MASK_OPEN = '    {\n      "mask": "'
+_OBJECT_SEP = "\n    },\n"
+_OBJECT_CLOSE = "\n    }"
+_EDGES_OPEN = '",\n      "edges": [\n'
+
+
+def _json_groups(n: int) -> tuple[np.ndarray, ...]:
+    """Object tables of a term's ``edges`` list, one per
+    :func:`_row_groups` group.  Entry v of a group of 2^b entries is the JSON
+    ``[i, j]`` at indent 8 of each of its edges, each followed by ",\\n";
+    entry 2^b + v, read by the group holding the term's last nonempty row,
+    ends its last edge with the list's closing bracket instead.  Group 0's
+    entries open with the mask's closing quote and the ``edges`` key, and
+    its entry 2^b is the whole empty list, for the zero mask.  Built per
+    call, not cached: the n = 4 tables held across the later commands of a
+    process raised the benchmark's peak RSS by 0.4 MiB."""
+    form = "        [\n          {},\n          {}\n        ],\n"
+    tables = []
+    for g, table in enumerate(_row_groups(n, form)):
+        head = _EDGES_OPEN if g == 0 else ""
+        last = [head + t[:-2] + "\n      ]" if t else "" for t in table]
+        if g == 0:
+            last[0] = '",\n      "edges": []'
+        tables.append(np.array([head + t for t in table] + last, dtype=object))
+    return tuple(tables)
+
+
+def _json_tails(key: str, values: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Object table of a JSON object's last member, ``key``, and the
+    object's end.  Entry i holds ``values[i]`` and ends with
+    :data:`_OBJECT_SEP`; one more entry, for the list's last object, holds
+    ``last[-1]`` and ends with :data:`_OBJECT_CLOSE` (none for an empty
+    ``last``)."""
+    return np.array([f',\n      "{key}": {v}{_OBJECT_SEP}' for v in values.tolist()]
+                    + [f',\n      "{key}": {v}{_OBJECT_CLOSE}' for v in last[-1:].tolist()],
+                    dtype=object)
 
 
 def _text_heads(p: MultilinearPoly) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +486,7 @@ def write_text(p: MultilinearPoly, write) -> None:
     each :func:`_text_groups` table, the last ending the line.  A block of
     batches is one integer index into it, a row per term: its head and one
     entry per group of rows.  Each batch of :data:`_TEXT_BATCH` terms is
-    then one gather and one join."""
+    then one gather and one join (:func:`_joined_batches`)."""
     if not len(p):
         write("0\n")
         return
@@ -444,19 +495,21 @@ def write_text(p: MultilinearPoly, write) -> None:
     pieces = np.concatenate((heads,) + groups)
     # the masks ascend, so a stable sort by degree orders by (degree, mask)
     order = np.argsort(np.bitwise_count(p.masks), kind="stable")
-    block = 64 * _TEXT_BATCH
-    for lo in range(0, len(p), block):
-        idx = order[lo:lo + block]
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        idx = order[lo:hi]
         masks = p.masks[idx]
-        index = np.empty((len(idx), 1 + len(groups)), dtype=np.intp)
+        index = np.empty((hi - lo, 1 + len(groups)), dtype=np.intp)
         index[:, 0] = np.searchsorted(values, p.coeffs[idx]) + len(values) * (masks == 0)
         start, shift = len(heads), 0
         for g, table in enumerate(groups, 1):  # a table of 2^b entries reads the next b bits
             index[:, g] = start + ((masks >> shift) & (len(table) - 1))
             start += len(table)
             shift += len(table).bit_length() - 1
-        for a in range(0, len(idx), _TEXT_BATCH):
-            write("".join(pieces.take(index[a:a + _TEXT_BATCH].ravel()).tolist()))
+        return index
+
+    for text in _joined_batches(pieces, len(p), _TEXT_BATCH, rows):
+        write(text)
 
 
 def to_text(p: MultilinearPoly) -> str:
@@ -471,36 +524,36 @@ def write_json(p: MultilinearPoly, basis: str, write) -> None:
     by mask.  Fourier documents carry the shared exponent, and each
     ``coeff`` is the integer numerator at that scale.
 
-    Each batch is one object array, a row per term: its hex mask, the
-    ``edges`` head, one :func:`_row_edges` entry per row (the last nonempty
-    row from the table's second half), the ``coeff`` key, the coefficient
-    and the separator to the next term.  The batch's text is the join of
-    the array after the first term's opening."""
+    A term is its hex mask, then entries of one object table: one
+    :func:`_json_groups` entry per group of rows, and its coefficient with
+    the separator to the next term (or, for the last term, the closing
+    brace), from a table of the distinct numerators.  A block of batches is
+    one integer index into the table, a row per term, and each batch of
+    :data:`_BATCH` terms is one gather and one join
+    (:func:`_joined_batches`)."""
     n = p.n
     head: dict = {"n": n, "basis": basis}
     if basis == "fourier":
         head["shared_exponent"] = p.shared_exponent
-    table = _row_edges(n)
+    groups = _json_groups(n)
+    values = _kernels.distinct_sorted(p.coeffs)
+    pieces = np.concatenate(groups + (_json_tails("coeff", values, p.coeffs),))
+    bits = (len(groups[0]) // 2).bit_length() - 1  # of every group but the last
 
-    def render(lo: int, hi: int) -> str:
+    def rows(lo: int, hi: int) -> np.ndarray:
         masks = p.masks[lo:hi]
-        rows = _kernels.mask_rows(n, masks).astype(np.intp)
-        top = n - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
-        rows[np.arange(hi - lo), top] += 1 << n
-        flat = np.empty(1 + (hi - lo) * (n + 5), dtype=object)
-        flat[0] = _TERM_OPEN
-        pcs = flat[1:].reshape(hi - lo, n + 5)
-        pcs[:, 0] = list(map(hex, masks.tolist()))
-        pcs[:, 1] = _TERM_HEAD[(masks != 0).view(np.int8)]
-        for i in range(n):
-            pcs[:, 2 + i] = table[i, rows[:, i]]
-        pcs[:, -3] = _TERM_COEFF
-        pcs[:, -2] = list(map(str, p.coeffs[lo:hi].tolist()))
-        pcs[:, -1] = _TERM_SEP
-        pcs[-1, -1] = _TERM_CLOSE
-        return "".join(flat.tolist())
+        index = np.empty((hi - lo, len(groups) + 1), dtype=np.intp)
+        # the group of the last nonempty row, 0 for the zero mask
+        top = np.maximum(np.frexp(masks)[1] - 1, 0) // bits
+        start = 0
+        for g, table in enumerate(groups):
+            half = len(table) // 2
+            index[:, g] = start + ((masks >> (g * bits)) & (half - 1)) + half * (top == g)
+            start += len(table)
+        index[:, -1] = start + np.searchsorted(values, p.coeffs[lo:hi])
+        return index
 
-    _write_document(write, head, {"terms": (len(p), render)})
+    _write_document(write, head, {"terms": (pieces, len(p), rows, p.masks)})
 
 
 def to_json_dict(p: MultilinearPoly, basis: str) -> dict:

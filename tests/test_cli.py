@@ -378,8 +378,10 @@ class TestOneProcess:
         code, out, _ = run(capsys, "poly", "--n", "2")
         assert code == 0 and out.startswith("+ x_{1,2} x_{2,1}\n")
 
-    def test_render_commands_leave_numpy_ma_unloaded(self):
-        # np.unique's first call imports numpy.ma, 13 ms of a fresh process
+    @pytest.fixture(scope="class")
+    def modules_after_commands(self):
+        """The modules loaded in a fresh process after the render commands,
+        the n = 5 commands and ``verify``."""
         src = str(Path(matchpoly.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -396,11 +398,21 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ("--allow-large", "classify", "--n", "5", "--graph", "0x119dff"),
                  ("verify", "--n", "4", "--claim", "all")):
         assert main(list(argv)) == 0
-print("numpy.ma" in sys.modules)
+print("\\n".join(sys.modules))
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_render_commands_leave_numpy_ma_unloaded(self, modules_after_commands):
+        # np.unique's first call imports numpy.ma, 13 ms of a fresh process
+        assert "numpy.ma" not in modules_after_commands
+
+    def test_commands_leave_the_thread_pool_unimported(self, modules_after_commands):
+        # concurrent.futures brings logging and queue, several ms of every
+        # start; none of these commands starts a pool
+        assert "concurrent.futures" not in modules_after_commands
 
     def test_runs_after_rejected_threads(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -503,6 +515,25 @@ def json_polys(draw):
                            np.array(coeffs, dtype=np.int64), k), basis
 
 
+@st.composite
+def json_lattices(draw):
+    """Hand-built ``McLattice`` objects for the JSON writer: up to 12 nodes
+    with ranks and Moebius numbers of any sign and width, and up to 12
+    covers whose indices may pass the node count; either list may be
+    empty."""
+    n = draw(st.integers(1, 4))
+    masks = sorted(draw(st.sets(st.integers(0, (1 << (n * n)) - 1), max_size=12)))
+    ranks = draw(st.lists(st.integers(-(1 << 15), (1 << 15) - 1),
+                          min_size=len(masks), max_size=len(masks)))
+    mobius = draw(st.lists(st.integers(-(1 << 62), 1 << 62) | st.integers(-3, 3),
+                           min_size=len(masks), max_size=len(masks)))
+    covers = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=12))
+    return mclattice.McLattice(n, np.array(masks, dtype=np.int64),
+                               np.array(ranks, dtype=np.int16),
+                               np.array(mobius, dtype=np.int64),
+                               np.array(covers, dtype=np.int32).reshape(-1, 2))
+
+
 def basis_poly(basis, n):
     if basis == "dual":
         return bpm.dual_polynomial(n)
@@ -567,6 +598,20 @@ class TestJsonWriter:
         assert_indent2("".join(chunks), reference_poly_doc(p, basis))
         assert len(chunks) == 2 + -(-len(p) // batch)  # the head, the batches, the close
 
+    @given(json_lattices(), st.integers(1, 8))
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @example(mclattice.McLattice(1, np.zeros(0, np.int64), np.zeros(0, np.int16),
+                                 np.zeros(0, np.int64), np.zeros((0, 2), np.int32)), 1)
+    @example(mclattice.McLattice(2, np.array([0, 9]), np.array([-12, 0], np.int16),
+                                 np.array([7, -1]), np.array([[3, 17]], np.int32)), 1)
+    def test_lattice_matches_the_reference_document(self, lat, batch):
+        chunks = []
+        with mock.patch.object(polyalg, "_BATCH", batch):
+            lat.write_json(chunks.append)
+        assert_indent2("".join(chunks), reference_lattice_doc(lat))
+        # the head, the node batches, the covers' key, the cover batches, the close
+        assert len(chunks) == 3 + -(-len(lat) // batch) + -(-len(lat.cover_edges) // batch)
+
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])
     def test_lists_across_batch_boundaries(self, monkeypatch, size):
         monkeypatch.setattr(polyalg, "_BATCH", 2)
@@ -582,6 +627,23 @@ class TestJsonWriter:
     def test_text_across_batch_boundaries(self, monkeypatch):
         monkeypatch.setattr(polyalg, "_TEXT_BATCH", 2)  # 121 terms: the last batch holds one
         assert_same_text(polyalg.to_text(bpm.dual_polynomial(3)), golden_dual3_text())
+
+    @pytest.mark.parametrize("block,batch", [(1, 1), (5, 2), (7, 3), (40, 16), (200, 64)])
+    def test_index_blocks_hold_whole_batches(self, monkeypatch, block, batch):
+        # blocks of index rows round down to whole batches, and at least one
+        monkeypatch.setattr(polyalg, "_BLOCK", block)
+        monkeypatch.setattr(polyalg, "_BATCH", batch)
+        monkeypatch.setattr(polyalg, "_TEXT_BATCH", batch)
+        p, lat = bpm.dual_polynomial(3), mclattice.build_lattice(3)  # 121 terms, 49 + 1 nodes
+        chunks = []
+        polyalg.write_text(p, chunks.append)
+        assert_same_text("".join(chunks), golden_dual3_text())
+        assert len(chunks) == -(-len(p) // batch)
+        chunks = []
+        polyalg.write_json(p, "dual", chunks.append)
+        assert_indent2("".join(chunks), reference_poly_doc(p, "dual"))
+        assert len(chunks) == 2 + -(-len(p) // batch)
+        assert_indent2(written(lat.write_json), reference_lattice_doc(lat))
 
     @pytest.mark.parametrize("argv,digest", [
         (("poly", "--n", "4", "--basis", "primal", "--format", "json"),

@@ -51,7 +51,9 @@ class TruthTable:
         vals = np.asarray(bits)
         if vals.shape != (1 << (n * n),):
             raise ValueError(f"truth table for n={n} needs 2^{n * n} bits, got {vals.shape}")
-        if vals.size and not np.all((vals == 0) | (vals == 1)):
+        integral = vals.dtype.kind in "biu"  # two reductions, no table-sized temporaries
+        if vals.size and not (vals.min() >= 0 and vals.max() <= 1 if integral
+                              else np.all((vals == 0) | (vals == 1))):
             raise ValueError("truth table entries must be 0 or 1")
         self.n = n
         self.bits = _kernels.frozen(vals.astype(np.uint8, copy=False))
@@ -318,24 +320,17 @@ def l1_norm(p: MultilinearPoly) -> int:
 # Rendering
 # ---------------------------------------------------------------------------
 
-# JSON elements (terms, lattice nodes or covers) rendered per write.
-# Measured on 2 Xeon cores, each writer to a discarding sink in a fresh
-# process, median of 9, two runs: the n = 4 Fourier document takes 13.7 to
-# 13.8 ms at 1,024, 13.9 to 14.0 at 512, 14.5 to 15.0 at 256 and 16 to 19
-# at 4,096, where `poly --n 4 --basis fourier --format json` peaks at 42.2
-# MiB against 35.5; the n = 4 lattice document takes 5.7 to 6.2 ms at
-# every size.  The n = 5 dual (1 MB of text per 1,024 terms) takes 33 ms
-# at 1,024 and 24 ms at 256 or 512; no benchmark workload writes it.
-_BATCH = 1024
-
-# Text terms rendered per write, each batch one gather from its block's
-# index and one join (write_text).  On the same 2 cores, under load from
-# other processes, the n = 5 dual (95,161 terms) renders warm in 14 ms at
-# 1,024, 15.5 ms at 256, 16.6 ms at 128 and 19 ms at 64 (median of 9, two
-# runs each).  The benchmark pass of `poly --n 5 --basis dual` peaked at
-# 71.0 to 71.2 MiB at 128, against 70.7 at 64, 71.9 at 256 and 72.1 at
-# 1,024 (3 fresh processes each).
-_TEXT_BATCH = 128
+# List elements (text terms, JSON terms, lattice nodes or covers) rendered
+# per write.  Measured on 2 Xeon cores, warm medians of 15 interleaved
+# rounds to a discarding sink, two runs: at 256 the n = 5 dual text
+# (95,161 terms) takes 10.6 to 10.9 ms against 11.0 to 12.4 at 128 and
+# 9.9 to 11.0 at 1,024; the n = 4 Fourier JSON 17.3 to 18.5 ms against
+# 17.8 to 19.1 at 1,024; the n = 5 dual JSON 28.4 to 30.9 ms against 39.1
+# to 42.4 at 1,024; the n = 4 lattice JSON 6.7 to 7.7 ms at every size.
+# The benchmark pass of `poly --n 5 --basis dual` peaks at 70.6 to 70.7
+# MiB, against 70.6 at 128, 71.8 at 512 and 73.0 at 1,024 (4 fresh
+# processes each).
+_BATCH = 256
 
 # elements whose index rows are computed at once, in whole batches.  At
 # 65,536 (the n = 4 Fourier document in one block) `poly --n 4 --basis
@@ -344,22 +339,23 @@ _TEXT_BATCH = 128
 _BLOCK = 8192
 
 
-def _joined_batches(pieces: np.ndarray, count: int, size: int,
+def _joined_batches(pieces: np.ndarray, count: int,
                     rows: Callable[[int, int], np.ndarray],
                     masks: np.ndarray | None = None) -> Iterator[str]:
-    """The text of elements 0 to ``count`` - 1, ``size`` elements per batch,
-    each batch one gather from the object table ``pieces`` and one join.
+    """The text of elements 0 to ``count`` - 1, :data:`_BATCH` elements per
+    batch, each batch one gather from the object table ``pieces`` and one
+    join.
 
     ``rows(lo, hi)`` returns the integer index of elements lo to hi - 1, a
     row each, for blocks of whole batches of about :data:`_BLOCK` elements.
     Element k's text is the entries of ``pieces`` at its row; with
     ``masks``, they follow the opening of a JSON object and its ``mask``
     key, ``hex(masks[k])``."""
-    block = size * max(1, _BLOCK // size)
+    block = _BATCH * max(1, _BLOCK // _BATCH)
     for lo in range(0, count, block):
         index = rows(lo, min(lo + block, count))
-        for a in range(0, len(index), size):
-            take = pieces.take(index[a:a + size])
+        for a in range(0, len(index), _BATCH):
+            take = pieces.take(index[a:a + _BATCH])
             if masks is None:
                 yield "".join(take.ravel().tolist())
                 continue
@@ -375,9 +371,9 @@ def _write_document(write, head: dict, lists: dict) -> None:
     scalars of ``head`` and then the lists of ``lists``.
 
     A list is given as ``(pieces, count, rows, masks)``, its elements at
-    indent 4 rendered by :func:`_joined_batches`, :data:`_BATCH` to a
-    write.  Every element's last piece ends it with ",\n", but for the
-    last element's, which ``pieces`` holds as its last entry."""
+    indent 4 rendered by :func:`_joined_batches`.  Every element's last
+    piece ends it with ",\n", but for the last element's, which ``pieces``
+    holds as its last entry."""
     text = "{" + "".join(f"\n  {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items())
     for key, (pieces, count, rows, masks) in lists.items():
         def closed(lo: int, hi: int) -> np.ndarray:
@@ -387,7 +383,7 @@ def _write_document(write, head: dict, lists: dict) -> None:
             return index
 
         write(f"{text}\n  {json.dumps(key)}: [" + ("\n" if count else ""))
-        for batch in _joined_batches(pieces, count, _BATCH, closed, masks):
+        for batch in _joined_batches(pieces, count, closed, masks):
             write(batch)
         text = "\n  ]," if count else "],"
     write(text[:-1] + "\n}\n")
@@ -485,8 +481,8 @@ def write_text(p: MultilinearPoly, write) -> None:
     Every piece of a line is an entry of one object table: the heads, then
     each :func:`_text_groups` table, the last ending the line.  A block of
     batches is one integer index into it, a row per term: its head and one
-    entry per group of rows.  Each batch of :data:`_TEXT_BATCH` terms is
-    then one gather and one join (:func:`_joined_batches`)."""
+    entry per group of rows.  Each batch of :data:`_BATCH` terms is then
+    one gather and one join (:func:`_joined_batches`)."""
     if not len(p):
         write("0\n")
         return
@@ -508,7 +504,7 @@ def write_text(p: MultilinearPoly, write) -> None:
             shift += len(table).bit_length() - 1
         return index
 
-    for text in _joined_batches(pieces, len(p), _TEXT_BATCH, rows):
+    for text in _joined_batches(pieces, len(p), rows):
         write(text)
 
 

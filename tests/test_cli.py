@@ -458,6 +458,16 @@ class TestUsage:
             main(["poly", "--n", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("module", ["matchpoly", "matchpoly.cli"])
+    def test_module_exits_with_the_code_of_main(self, module):
+        src = str(Path(matchpoly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", module, "count", "--n", "0", "--what", "mc"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: enumerate-mc: n must be at least 1, got n=0\n"
+
 
 def written(writer, *args):
     chunks = []
@@ -625,7 +635,7 @@ class TestJsonWriter:
         assert_indent2(written(lat.write_json), reference_lattice_doc(lat))
 
     def test_text_across_batch_boundaries(self, monkeypatch):
-        monkeypatch.setattr(polyalg, "_TEXT_BATCH", 2)  # 121 terms: the last batch holds one
+        monkeypatch.setattr(polyalg, "_BATCH", 2)  # 121 terms: the last batch holds one
         assert_same_text(polyalg.to_text(bpm.dual_polynomial(3)), golden_dual3_text())
 
     @pytest.mark.parametrize("block,batch", [(1, 1), (5, 2), (7, 3), (40, 16), (200, 64)])
@@ -633,7 +643,6 @@ class TestJsonWriter:
         # blocks of index rows round down to whole batches, and at least one
         monkeypatch.setattr(polyalg, "_BLOCK", block)
         monkeypatch.setattr(polyalg, "_BATCH", batch)
-        monkeypatch.setattr(polyalg, "_TEXT_BATCH", batch)
         p, lat = bpm.dual_polynomial(3), mclattice.build_lattice(3)  # 121 terms, 49 + 1 nodes
         chunks = []
         polyalg.write_text(p, chunks.append)

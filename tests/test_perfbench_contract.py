@@ -1,11 +1,16 @@
-"""The benchmark's tracer looks up kernels and arguments by name; a renamed
-or deleted name must fail here, not first in a benchmark run."""
+"""The benchmark's tracer looks up kernels and arguments by name, and its
+workloads check their output against frozen digests, a histogram, an
+oracle's parse and summary groups; a renamed or deleted name or a changed
+output must fail here, not first in a benchmark run."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import pytest  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
 from tracing import COUNTERS, LAYERS, Tracer  # noqa: E402
 
 from matchpoly import _kernels, bpm, polyalg  # noqa: E402
@@ -64,3 +69,14 @@ def test_every_counter_reads_positive(capsys):
         for name in names:
             for counter in COUNTERS.get(name, ((), None))[0]:
                 assert metrics[f"{layer}.{counter}"] > 0, (layer, counter)
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_outputs_pass_their_checks(name):
+    """Every operation of a seed-1 pass, run and checked as the worker does."""
+    workload = workloads.WORKLOADS[name]
+    check = workload.checker(1)
+    for op in workload.ops(1):
+        _, result = worker.run_op(op, None)
+        verdict = workloads.run_check(check, result)
+        assert verdict is None, (op.argv, verdict)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -93,13 +94,28 @@ class TestTruthTable:
             TruthTable(2, bits[:-1])
 
     def test_values_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 or 1"):
             TruthTable(1, np.array([0, 2], dtype=np.uint8))
 
-    @pytest.mark.parametrize("bits", [[0, 0.5], [0, 256], np.array([0, 257])])
+    @pytest.mark.parametrize("bits", [[0, 0.5], [0, 256], np.array([0, 257]),
+                                      np.array([1, -1], dtype=np.int64)])
     def test_values_checked_before_the_uint8_cast(self, bits):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 or 1"):
             TruthTable(1, bits)
+
+    def test_bool_table_accepted(self):
+        t = TruthTable(1, np.array([False, True]))
+        assert t.bits.dtype == np.uint8 and t.bits.tolist() == [0, 1]
+
+    def test_uint8_check_makes_no_table_sized_temporary(self):
+        bits = np.ones(1 << 16, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            TruthTable(4, bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 12  # one bool temporary would be 2^16 bytes
 
     def test_dual_swaps_roles(self):
         t = bpm2_table()
@@ -387,8 +403,8 @@ def assert_text_matches_oracle(p: MultilinearPoly, batch: int):
     assert all(chunk.count("\n") <= batch for chunk in chunks)
 
 
-TEXT_BATCH = polyalg._TEXT_BATCH
-EDGE_BATCH = 256  # a multiple of TEXT_BATCH: its multiples are batch edges of both
+BATCH = polyalg._BATCH
+EDGE_BATCH = 256  # a multiple of BATCH: its multiples are batch edges of both
 
 
 class TestTextMatrix:
@@ -397,7 +413,7 @@ class TestTextMatrix:
     @given(text_polys(), st.integers(1, 8))
     @settings(deadline=None, derandomize=True, max_examples=300)
     def test_matches_the_per_term_oracle(self, p, batch):
-        with mock.patch.object(polyalg, "_TEXT_BATCH", batch):
+        with mock.patch.object(polyalg, "_BATCH", batch):
             assert_text_matches_oracle(p, batch)
 
     @pytest.mark.parametrize("p, first", [
@@ -417,11 +433,11 @@ class TestTextMatrix:
             "long head", "bit 48"])
     def test_heads_and_top_bit(self, p, first):
         assert to_text(p).splitlines()[0] == first
-        assert_text_matches_oracle(p, TEXT_BATCH)
+        assert_text_matches_oracle(p, BATCH)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_zero_polynomial(self, n):
-        assert_text_matches_oracle(MultilinearPoly.zero(n), TEXT_BATCH)
+        assert_text_matches_oracle(MultilinearPoly.zero(n), BATCH)
 
     @pytest.mark.parametrize("n, length", [
         (n, k * EDGE_BATCH + d) for n in range(3, 8) for k in (1, 2) for d in (-1, 0, 1)
@@ -429,10 +445,10 @@ class TestTextMatrix:
     def test_lengths_at_batch_edges(self, n, length):
         """Lengths next to multiples of ``EDGE_BATCH`` sit at the batch edges of
         the production batch and of a batch of ``EDGE_BATCH``; both are checked."""
-        assert EDGE_BATCH % TEXT_BATCH == 0
+        assert EDGE_BATCH % BATCH == 0
         p = random_poly(n, length, seed=n * length)
-        assert_text_matches_oracle(p, TEXT_BATCH)
-        with mock.patch.object(polyalg, "_TEXT_BATCH", EDGE_BATCH):
+        assert_text_matches_oracle(p, BATCH)
+        with mock.patch.object(polyalg, "_BATCH", EDGE_BATCH):
             assert_text_matches_oracle(p, EDGE_BATCH)
 
 

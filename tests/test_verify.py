@@ -6,6 +6,7 @@ surplus functions."""
 import dataclasses
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,95 @@ class TestClaimFailures:
         assert report.detail == f"formula {real + 1} != exhaustive {real}"
 
 
+class TestReportLines:
+    """Each remaining failure report, reached by breaking one input."""
+
+    def test_appendix_b_first_difference(self, monkeypatch):
+        lines = verify.golden_dual3_text().splitlines(keepends=True)
+        got, lines[4] = lines[4], "+ x_{9,9}\n"
+        monkeypatch.setattr(verify, "golden_dual3_text", lambda: "".join(lines))
+        assert failure("appendix_b", 3) == (
+            f"first difference at line 5: {got.rstrip()!r} != '+ x_{{9,9}}'", None)
+
+    def test_appendix_b_term_counts(self, monkeypatch):
+        lines = verify.golden_dual3_text().splitlines(keepends=True)
+        monkeypatch.setattr(verify, "golden_dual3_text", lambda: "".join(lines[:-1]))
+        assert failure("appendix_b", 3) == ("term counts differ: 121 rendered vs 120 golden",
+                                            None)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_thm2_strict_count(self, monkeypatch, n):
+        # one strictly ordered graph dropped: every coefficient still checks
+        real = verify._nonempty_of_class
+        monkeypatch.setattr(verify, "_nonempty_of_class", lambda k, cls: real(k, cls)[1:])
+        count = math.factorial(n) ** 2
+        assert failure("thm2_strict", n) == (
+            f"{count - 1} strictly ordered graphs, expected {count}", None)
+
+    def test_probability_value(self, monkeypatch):
+        monkeypatch.setattr(bpm, "pm_probability", lambda k: Fraction(1, 2))
+        assert failure("probability", 2) == ("Pr = 1/2 != 7/16", None)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_probability_routes_disagree(self, monkeypatch, n):
+        # one graph without a matching counted as matchable by the direct route
+        real = verify._kernels.truth_table
+
+        def fake(k):
+            table = real(k).copy()
+            table[0] = 1
+            return table
+        monkeypatch.setattr(verify._kernels, "truth_table", fake)
+        value = Fraction(int(real(n).sum()), 1 << (n * n))
+        direct = value + Fraction(1, 1 << (n * n))
+        with pytest.raises(RuntimeError) as info:
+            verify.run_claim("probability", n)
+        assert str(info.value) == (
+            f"matching-covered sum gives {value}, truth table gives {direct}")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bounds_gf2_degree(self, monkeypatch, n):
+        real = bpm.bounds_report
+        monkeypatch.setattr(bpm, "bounds_report",
+                            lambda k: dataclasses.replace(real(k), deg2_value=k * k - 1))
+        assert failure("bounds", n) == (f"GF(2) degree {n * n - 1} != {n * n}", None)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bounds_hand_value(self, monkeypatch, n):
+        real = bpm.bounds_report
+        report = real(n)
+        off = report.or_lb_mon + 1e-9
+        monkeypatch.setattr(bpm, "bounds_report",
+                            lambda k: dataclasses.replace(real(k), or_lb_mon=off))
+        assert failure("bounds", n) == (
+            f"or_lb_mon = {off!r} differs from hand value {report.or_lb_mon!r}", None)
+
+    def test_counting_small_numbers(self, monkeypatch):
+        monkeypatch.setattr(bpm, "fubini", lambda m: 14)
+        assert failure("counting", 3) == ("small Stirling/Fubini values wrong", None)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_hvc_witness_edges(self, monkeypatch, n):
+        monkeypatch.setattr(bpm, "hvc_lower_bound_witness", BipartiteGraph.full)
+        k = n // 2
+        assert failure("hvc_witness", n) == (
+            f"witness has {n * n} edges, expected {n * n - k * (k + 1)}", None)
+
+    def test_witness_outside_hvc(self, monkeypatch):
+        monkeypatch.setattr(bpm, "is_hvc", lambda g: False)
+        with pytest.raises(RuntimeError, match="^witness construction failed its own HVC "
+                                               "membership$"):
+            verify.run_claim("hvc_witness", 4)
+
+    def test_witness_upset_leaves_hvc(self, monkeypatch):
+        witness = bpm.hvc_lower_bound_witness(4).mask
+        monkeypatch.setattr(bpm, "is_hvc", lambda g: g.mask == witness)
+        first = int(verify._kernels.supergraph_masks(4, witness, 0, 2)[1])
+        with pytest.raises(RuntimeError) as info:
+            verify.run_claim("hvc_witness", 4)
+        assert str(info.value) == f"supergraph {first:#x} of the witness left HVC_4"
+
+
 def failure(name, n):
     """(detail, counterexample) of a claim that must fail."""
     report = verify.run_claim(name, n)
@@ -220,6 +310,24 @@ class TestLatticeFailures:
         assert failure("lattice", n) == ("interval Moebius sum 1 != 0", small)
 
 
+class TestAxiomFailure:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_names_the_node(self, monkeypatch, n):
+        # one meet sent to node 0; the loop oracle finds the first failure
+        real = verify._join_meet_tables
+        lat = build_lattice(n)
+        i = len(lat) // 2
+
+        def fake(lat):
+            joins, meets, outside = real(lat)
+            meets = meets.copy()
+            meets[i, i] = 0
+            return joins, meets, outside
+        monkeypatch.setattr(verify, "_join_meet_tables", fake)
+        message, node = loop_axiom_failure(*fake(lat)[:2])
+        assert failure("lattice", n) == (message, int(lat.masks[node]))
+
+
 class TestFourierFailures:
     @pytest.mark.parametrize("n", [2, 3])
     def test_elementary_coefficient(self, monkeypatch, n):
@@ -235,6 +343,17 @@ class TestFourierFailures:
         monkeypatch.setattr(polyalg, "to_fourier", fake)
         want = Fraction(1, 1 << (n * n - 1))
         assert failure("fourier", n) == (f"elementary coefficient {3 * want} != {want}", small)
+
+    def test_basis_change(self, monkeypatch):
+        # the empty graph read as matchable: +1 at the all-(+1) point, want -1
+        real = bpm.bpm_truth
+
+        def fake(k):
+            bits = real(k).bits.copy()
+            bits[0] = 1
+            return polyalg.TruthTable(k, bits)
+        monkeypatch.setattr(bpm, "bpm_truth", fake)
+        assert failure("fourier", 2) == ("basis change wrong at +/-1 point 0x0: 1 != -1", 0)
 
     def test_parseval(self, monkeypatch):
         # doubling a coefficient off the elementary graphs and the constant
@@ -265,6 +384,29 @@ class TestDualSpotFailures:
         corrupt({little: 5})
         assert failure("dual_spot", n) == (
             f"K_{{{n - 1},{n - 1}}} coefficient 5 != {(n - 2) ** 2}", little)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_automaton(self, monkeypatch, n):
+        want = (n - 2) ** 2
+        monkeypatch.setattr(bpm, "dual_coefficient", lambda g: want + 1)
+        little = BipartiteGraph.from_edges(
+            n, [(i, j) for i in range(1, n) for j in range(1, n)]).mask
+        assert failure("dual_spot", n) == (
+            "automaton dual coefficient disagrees with the dualized primal", little)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_permuted_embedding(self, corrupt, n):
+        # K_{n-1,n-1} on rows 2..n and columns 2..n: the reversal of the rows
+        # and the rotation of the columns
+        moved = BipartiteGraph.from_edges(
+            n, [(i, j) for i in range(2, n + 1) for j in range(2, n + 1)]).mask
+        corrupt({moved: (n - 2) ** 2 + 1})
+        assert failure("dual_spot", n) == ("permuted embedding changed the coefficient", moved)
+
+    def test_violator_not_hvc(self, monkeypatch):
+        monkeypatch.setattr(bpm, "is_hvc", lambda g: False)
+        first = bpm.enumerate_hall_violators(3)[0].mask
+        assert failure("dual_spot", 3) == ("violator not HVC", first)
 
     def test_violator(self, corrupt):
         violators = [h.mask for h in bpm.enumerate_hall_violators(4)]

@@ -18,7 +18,9 @@ zero rows.  A dense kernel is one gather through an automaton's
 per-prefix state codes: the truth table (the member column of the full
 set), the MC filter (through one reach table over the family states of
 the rows before and after each row, built from the member rows a column
-at a time) and the component counts behind chi.
+at a time) and the component counts behind chi.  Row steps, like every
+table over the subsets of k parts in the package, come from one doubling
+kernel, :func:`subset_fold`.
 
 The signed walk at the end steps (key, weight) arrays of the family
 automaton, for one graph or a batch of walks that read the same row, and
@@ -146,6 +148,19 @@ def distinct_sorted(values) -> np.ndarray:
     return ordered[keep]
 
 
+def subset_fold(parts: np.ndarray, op: np.ufunc, empty) -> np.ndarray:
+    """The table over every subset S of the k parts on the last axis (leading
+    axes are a batch): entry S folds ``op`` over the parts in S, ascending,
+    from ``empty``.  Built by doubling, one ``op`` per part:
+    table[S | {j}] = op(table[S], parts[..., j]) for the 2^j sets S below j."""
+    parts = np.asarray(parts)
+    table = np.empty(parts.shape[:-1] + (1 << parts.shape[-1],), dtype=parts.dtype)
+    table[..., 0] = empty
+    for j in range(parts.shape[-1]):
+        op(table[..., :1 << j], parts[..., j, None], out=table[..., 1 << j:2 << j])
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Row automata and the prefix codes read from them
 # ---------------------------------------------------------------------------
@@ -231,10 +246,7 @@ def _family_automaton(n: int) -> tuple[np.ndarray, np.ndarray]:
         added = np.zeros((len(keys), n), dtype=np.int64)
         for p in range(nibbles):
             added |= grown[level, p, (keys >> 4 * p) & 15]
-        out = np.zeros((len(keys), 1 << n), dtype=np.int64)
-        for c in range(n):  # rows with top column c: the rows below, plus c
-            np.bitwise_or(out[:, :1 << c], added[:, c, None], out=out[:, 1 << c:2 << c])
-        return out
+        return subset_fold(added, np.bitwise_or, 0)  # a row adds each of its columns
 
     trans, keys = _row_automaton(n, 1, step)
     level = keys >> shift
@@ -406,16 +418,13 @@ def _component_automaton(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     holds column j (0 while j is untouched), with ``zeros`` above them.
     """
     full, zero_row = (1 << n) - 1, 1 << (n * n)
-    spread = np.zeros(1 << n, dtype=np.int64)  # spread[U]: bit n * j for each j in U
-    for j in range(n):
-        spread[1 << j:2 << j] = spread[:1 << j] | 1 << (n * j)
+    columns = np.arange(n, dtype=np.int64)
+    spread = subset_fold(1 << n * columns, np.bitwise_or, 0)  # [U]: bit n * j for each j in U
 
     def step(keys: np.ndarray) -> np.ndarray:
-        blocks = (keys[:, None] >> n * np.arange(n)) & full
-        merged = np.zeros((len(keys), 1 << n), dtype=np.int64)
-        for c in range(n):  # rows with top column c: the rows below, plus c's block
-            np.bitwise_or(merged[:, :1 << c], (blocks[:, c] | 1 << c)[:, None],
-                          out=merged[:, 1 << c:2 << c])
+        blocks = (keys[:, None] >> n * columns) & full
+        # merged[:, row]: the columns of row and of every block it meets
+        merged = subset_fold(blocks | 1 << columns, np.bitwise_or, 0)
         spread_rows = spread[merged]
         out = keys[:, None] & ~(spread_rows * full) | spread_rows * merged
         out[:, 0] = keys + zero_row * (keys < n * zero_row)

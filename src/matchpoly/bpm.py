@@ -268,18 +268,13 @@ def enumerate_hall_violators(n: int) -> list[BipartiteGraph]:
         raise ValueError("Hall violators need n >= 2")
     if n > MAX_SIDE:
         raise ValueError(f"side size must be in 1..{MAX_SIDE}, got {n}")
-    masks = []
-    for xs in range(1, 1 << n):
-        ky = n + 1 - xs.bit_count()
-        row_positions = [i for i in range(n) if (xs >> i) & 1]
-        for ys in range(1, 1 << n):
-            if ys.bit_count() != ky:
-                continue
-            m = 0
-            for i in row_positions:
-                m |= ys << (n * i)
-            masks.append(m)
-    return [BipartiteGraph(n, m) for m in sorted(masks)]
+    # uint64: at n = 8 the last row fills bit 63
+    ys = np.arange(1, 1 << n, dtype=np.uint64)
+    blocks = _kernels.subset_fold(ys[:, None] << np.uint64(n) * np.arange(n, dtype=np.uint64),
+                                  np.bitwise_or, 0)  # [Y - 1, X]: K_{X,Y}
+    sizes = _kernels.popcount_array(np.arange(1 << n))
+    masks = np.sort(blocks[sizes[1:, None] + sizes == n + 1])
+    return [BipartiteGraph(n, m) for m in masks.tolist()]
 
 
 def is_hvc(g: BipartiteGraph) -> bool:

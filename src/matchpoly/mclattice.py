@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels, bpm, polyalg
-from .bitgraph import BipartiteGraph, left_neighborhoods, union_of_perfect_matchings
+from .bitgraph import BipartiteGraph, edge_bit, left_neighborhoods, union_of_perfect_matchings
 from .caps import require_hard
 from .matchcov import is_matching_covered
 
@@ -281,7 +281,7 @@ def is_wildcard_edge(g: BipartiteGraph, a: int, b: int) -> bool:
     """
     if g.has_edge(a, b):
         raise ValueError(f"({a},{b}) is an edge of the graph; wildcard edges are non-edges")
-    ebit = 1 << ((a - 1) * g.n + (b - 1))
+    ebit = 1 << edge_bit(g.n, a, b)
     covered = _mc_supergraph_masks(BipartiteGraph(g.n, g.mask | ebit))
     return bool(np.all(bpm.primal_polynomial(g.n).coeffs_at(covered ^ ebit) != 0))
 

@@ -389,21 +389,17 @@ def _write_document(write, head: dict, lists: dict) -> None:
     write(text[:-1] + "\n}\n")
 
 
-def _row_groups(n: int, word: str) -> list[list[str]]:
+def _row_groups(n: int, word: str) -> list[np.ndarray]:
     """A term's variables, a group of rows at a time: rows 2k and 2k + 1 at
     n <= 5, single rows above, so no group has more than 2^10 entries.
-    Entry v of a group's list joins ``word.format(i, j)`` over the 1-based
-    edges (i, j) of the set bits of the group's bits v, ascending."""
+    Entry v of a group's object array joins ``word.format(i, j)`` over the
+    1-based edges (i, j) of the set bits of the group's bits v, ascending."""
     per = 2 if n <= 5 else 1
     groups = []
     for first in range(0, n, per):
-        words = [word.format(first + b // n + 1, b % n + 1)
-                 for b in range(n * min(per, n - first))]
-        table = [""] * (1 << len(words))
-        for v in range(1, len(table)):  # lowest bit first, then the rest
-            low = v & -v
-            table[v] = words[low.bit_length() - 1] + table[v ^ low]
-        groups.append(table)
+        words = np.array([word.format(first + b // n + 1, b % n + 1)
+                          for b in range(n * min(per, n - first))], dtype=object)
+        groups.append(_kernels.subset_fold(words, np.add, ""))
     return groups
 
 
@@ -411,7 +407,7 @@ def _row_groups(n: int, word: str) -> list[list[str]]:
 def _text_groups(n: int) -> tuple[np.ndarray, ...]:
     """Read-only object tables of :func:`_row_groups`' ``" x_{i,j}"`` words;
     the last table's entries end in ``"\\n"``."""
-    tables = [np.array(t, dtype=object) for t in _row_groups(n, " x_{{{},{}}}")]
+    tables = _row_groups(n, " x_{{{},{}}}")
     tables[-1] += "\n"
     return tuple(tables)
 

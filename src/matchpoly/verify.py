@@ -368,15 +368,11 @@ def _implication_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         wildcard |= (~bad[masks | (1 << e)] >> e & 1) << e
     wildcard &= ~masks
 
-    # N(X) for every left set X, one step per set as in
-    # bitgraph.left_neighborhoods; a proper X with |N(X)| <= |X| that holds
-    # row a rules out the surplus of (a, b) for every column b outside N(X)
+    # N(X) for every left set X, the OR of its rows; a proper X with
+    # |N(X)| <= |X| that holds row a rules out the surplus of (a, b) for
+    # every column b outside N(X)
     row = (1 << n) - 1
-    rows = _kernels.mask_rows(n, masks).astype(np.int64)
-    nb = np.zeros((size, row + 1), dtype=np.int64)
-    for xs in range(1, row + 1):
-        low = xs & -xs
-        nb[:, xs] = nb[:, xs ^ low] | rows[:, low.bit_length() - 1]
+    nb = _kernels.subset_fold(_kernels.mask_rows(n, masks).astype(np.int64), np.bitwise_or, 0)
     sets = np.arange(row + 1)
     tight = _kernels.popcount_array(nb) <= _kernels.popcount_array(sets)
     tight[:, [0, row]] = False
@@ -408,14 +404,12 @@ def _claim_implication_chain(n: int) -> Outcome:
     wildcard, surplus, members = _implication_tables(n)
     full = (1 << (n * n)) - 1
     table = _dualized(n).coeffs_at(np.arange(full + 1))
-    incomplete = np.bitwise_or.reduce(members, axis=1) != full
 
     # inclusion-exclusion over the umbrella reproduces the coefficient: the
     # subsets of each mask's members whose union is every edge, signed by size
-    width = members.shape[1]
-    subsets = np.arange(1, 1 << width)
-    picks = (subsets[:, None] >> np.arange(width)) & 1 == 1
-    unions = np.bitwise_or.reduce(np.where(picks, members[:, None, :], 0), axis=2)
+    subsets = np.arange(1 << members.shape[1])  # the empty one's union is no cover
+    unions = _kernels.subset_fold(members, np.bitwise_or, 0)
+    incomplete = unions[:, -1] != full
     real = subsets < (1 << np.count_nonzero(members, axis=1))[:, None]
     signs = 2 * (_kernels.popcount_array(subsets) & 1) - 1
     total = np.where(real & (unions == full), signs, 0).sum(axis=1)

@@ -436,6 +436,16 @@ class TestHallViolators:
             enumerate_hall_violators(9)
 
     @pytest.mark.parametrize("n", range(2, 9))
+    def test_masks_match_scalar_enumeration(self, n):
+        want = sorted(sum(1 << (n * i + j) for i in range(n) if xs >> i & 1
+                          for j in range(n) if ys >> j & 1)
+                      for xs in range(1, 1 << n) for ys in range(1, 1 << n)
+                      if xs.bit_count() + ys.bit_count() == n + 1)
+        got = [h.mask for h in enumerate_hall_violators(n)]
+        assert got == want
+        assert (max(got) >> 63 == 1) == (n == 8)  # row 8 holds bit 63
+
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_count_is_vandermonde(self, n):
         # sum over |X| of C(n, |X|) C(n, n + 1 - |X|) = C(2n, n + 1)
         assert len(enumerate_hall_violators(n)) == math.comb(2 * n, n + 1)

@@ -136,6 +136,22 @@ class TestLattice:
         assert len(json.loads(out)["nodes"]) == 7444
 
 
+@pytest.fixture
+def sweep_threads(monkeypatch):
+    """The thread count of every ``map_chunks`` call, in order, with 2^4
+    masks a chunk: an n = 3 sweep is 32 chunks."""
+    monkeypatch.setattr(_kernels, "CHUNK_BITS", 4)
+    monkeypatch.delenv("MATCHPOLY_THREADS", raising=False)
+    seen = []
+    map_chunks = _kernels.map_chunks
+
+    def spy(fn, total, threads):
+        seen.append(threads)
+        return map_chunks(fn, total, threads)
+    monkeypatch.setattr(_kernels, "map_chunks", spy)
+    return seen
+
+
 class TestThreads:
     def test_env_default(self, monkeypatch):
         from matchpoly._kernels import default_threads
@@ -146,28 +162,30 @@ class TestThreads:
         monkeypatch.delenv("MATCHPOLY_THREADS")
         assert default_threads() == 1
 
-    def test_threads_flag_changes_nothing(self, capsys):
-        _, out1, _ = run(capsys, "--threads", "4", "poly", "--n", "3",
-                         "--basis", "dual")
-        _, out2, _ = run(capsys, "--threads", "1", "poly", "--n", "3",
-                         "--basis", "dual")
-        assert out1 == out2
+    def test_threads_flag_changes_nothing(self, capsys, sweep_threads):
+        # each command sweeps masks, and each thread count splits the
+        # sweep's chunks into different windows
+        for argv in (["poly", "--n", "3", "--basis", "primal"],
+                     ["poly", "--n", "3", "--basis", "primal", "--format", "json"],
+                     ["poly", "--n", "3", "--basis", "fourier", "--format", "json"],
+                     ["summary", "--n", "3", "--basis", "primal"],
+                     ["lattice", "--n", "3", "--format", "json"],
+                     ["count", "--n", "3", "--what", "mc"]):
+            outs = []
+            for threads in (1, 2, 3):
+                clear_caches()  # the primal is cached per n
+                sweep_threads.clear()
+                code, out, _ = run(capsys, "--threads", str(threads), *argv)
+                assert code == 0 and sweep_threads and set(sweep_threads) == {threads}, argv
+                outs.append(out)
+            assert outs[1] == outs[0] and outs[2] == outs[0], argv
 
-    def test_flag_reaches_every_sweep(self, capsys, monkeypatch):
+    def test_flag_reaches_every_sweep(self, capsys, sweep_threads):
         clear_caches()
-        monkeypatch.setattr(_kernels, "CHUNK_BITS", 4)  # n = 3: 32 chunks
-        monkeypatch.delenv("MATCHPOLY_THREADS", raising=False)
-        seen = []
-        map_chunks = _kernels.map_chunks
-
-        def spy(fn, total, threads):
-            seen.append(threads)
-            return map_chunks(fn, total, threads)
-        monkeypatch.setattr(_kernels, "map_chunks", spy)
         code, out, _ = run(capsys, "--threads", "2", "verify", "--n", "3",
                            "--claim", "thm1")
         assert code == 0 and "PASS" in out
-        assert len(seen) == 16 and set(seen) == {2}
+        assert len(sweep_threads) == 16 and set(sweep_threads) == {2}
         assert _kernels.default_threads() == 1  # scoped to the command
 
     @pytest.mark.parametrize("value", ["0", "-4"])

@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import itertools
+import operator
 import os
 import pathlib
 import pkgutil
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matchpoly
@@ -41,6 +42,24 @@ PROPERTY = settings(deadline=None, derandomize=True)
 def oracle_mc(n: int, mask: int) -> bool:
     g = BipartiteGraph(n, mask)
     return mask != 0 and has_perfect_matching(g) and allowed_edges(g) == mask
+
+
+def scalar_subset_fold(parts: list, op, empty) -> list:
+    """Entry S: ``empty`` folded with ``op`` over parts[j], j in S ascending."""
+    table = []
+    for s in range(1 << len(parts)):
+        acc = empty
+        for j, part in enumerate(parts):
+            if s >> j & 1:
+                acc = op(acc, part)
+        table.append(acc)
+    return table
+
+
+def batches(elements):
+    """1 to 3 lists of k elements each, k = 0..6."""
+    return st.integers(0, 6).flatmap(
+        lambda k: st.lists(st.lists(elements, min_size=k, max_size=k), min_size=1, max_size=3))
 
 
 def perm_mask(n: int, perm) -> int:
@@ -445,6 +464,23 @@ class TestSmallKernels:
         bits = _kernels.mask_bits(5, np.array(values, dtype=np.int64))
         assert bits.dtype == np.uint8 and bits.shape == (len(values), 25)
         assert bits.tolist() == [[(v >> b) & 1 for b in range(25)] for v in values]
+
+    @given(batches(st.integers(0, (1 << 64) - 1)))
+    @example([[1 << 63, 1, (1 << 64) - 1], [1 << 63, 0, 1 << 62]])
+    @PROPERTY
+    def test_subset_fold_or(self, rows):
+        table = _kernels.subset_fold(np.array(rows, dtype=np.uint64), np.bitwise_or, 0)
+        assert table.dtype == np.uint64 and table.shape == (len(rows), 1 << len(rows[0]))
+        assert table.tolist() == [scalar_subset_fold(r, operator.or_, 0) for r in rows]
+        one = _kernels.subset_fold(np.array(rows[0], dtype=np.uint64), np.bitwise_or, 0)
+        assert one.tolist() == scalar_subset_fold(rows[0], operator.or_, 0)
+
+    @given(batches(st.text(max_size=3)))
+    @PROPERTY
+    def test_subset_fold_concatenates_strings(self, rows):
+        table = _kernels.subset_fold(np.array(rows, dtype=object), np.add, "")
+        assert table.shape == (len(rows), 1 << len(rows[0]))
+        assert table.tolist() == [scalar_subset_fold(r, operator.add, "") for r in rows]
 
     def test_chi_table_stops_at_n4(self):
         with pytest.raises(ValueError, match="dense chi tables stop at n=4"):
